@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "sim/logging.hh"
 #include "stats/metrics.hh"
@@ -205,11 +204,6 @@ CellSystem::malloc(std::uint64_t bytes, const mem::NumaPolicy &policy)
     EffAddr ea = memory_->alloc(bytes, policy);
     if (ea + bytes >= lsEaBase)
         sim::fatal("main memory exhausted");
-    // Partitioned runs touch data pages from both chips' worker
-    // threads; faulting them in at allocation keeps the page map
-    // immutable while the simulation runs.
-    if (engine_)
-        memory_->store().touch(ea, bytes);
     return ea;
 }
 
@@ -242,31 +236,11 @@ CellSystem::launch(sim::Task task)
     programs_.back().start();
 }
 
-unsigned
-CellSystem::runThreads() const
-{
-    if (!engine_)
-        return 1;
-    unsigned t = cfg_.simJobs;
-    if (t == 0)
-        t = std::thread::hardware_concurrency();
-    if (t == 0)
-        t = 1;
-    t = std::min(t, cfg_.numChips);
-    // The verify and trace hooks read state that belongs to the other
-    // chip's partition (LS contents, the shared recorder buffer); run
-    // their windows on one thread.  The schedule — and the report — is
-    // the same either way.
-    if (cfg_.verify || recorder_)
-        t = 1;
-    return t;
-}
-
 void
 CellSystem::run()
 {
     if (engine_)
-        engine_->run(runThreads());
+        engine_->run();
     else
         eq_->run();
     for (auto &p : programs_) {
@@ -502,10 +476,12 @@ CellSystem::lsLand(std::uint32_t h)
  * Memory routing, partitioned (numChips >= 2).  Chip-local lines stay
  * entirely on the issuing chip's queue.  A crossing line's far-side
  * stages (the target chip's bank and EIB) run on the far partition and
- * must not touch the home chip's arena — the arena vector can grow
- * concurrently — so they carry their routing state ({ea, bytes, handle,
- * home and far chips}) and, on the way home, the 128-byte payload by
- * value inside the cross-partition message.  Multi-hop routes (other
+ * must not touch the home chip's arena: within a window the partitions
+ * run one after another, so the home chip's state may be ahead of or
+ * behind the far stage's tick.  They carry their routing state ({ea,
+ * bytes, handle, home and far chips}) and, on the way home, the
+ * 128-byte payload by value inside the cross-partition message — the
+ * one place information moves between partitions.  Multi-hop routes (other
  * blade) serialize on every link: LinkGraph::sendData re-posts from
  * each intermediate chip's partition.
  */

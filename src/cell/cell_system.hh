@@ -12,14 +12,13 @@
  *
  * Execution engines.  A single-chip system runs on one event queue.
  * With numChips >= 2 each chip becomes a partition of a conservative
- * parallel engine (sim::PartitionedEngine): chip-local routing stays on
- * the chip's own queue, and anything that crosses a link (the on-blade
- * IOIF or an inter-blade link — see mem::LinkGraph) travels as a
- * cross-partition message delivered at least one crossing latency
+ * partitioned engine (sim::PartitionedEngine): chip-local routing stays
+ * on the chip's own queue, and anything that crosses a link (the
+ * on-blade IOIF or an inter-blade link — see mem::LinkGraph) travels as
+ * a cross-partition message delivered at least one crossing latency
  * later; multi-hop routes re-enter the router at each intermediate
- * chip.  The partitioned schedule is fixed — --sim-jobs only chooses
- * how many worker threads execute it, so reports are bit-identical for
- * any value.
+ * chip.  The engine runs its windows serially in a fixed order, so the
+ * partitioned schedule — and every report — is deterministic.
  *
  * In-flight DMA lines live in a per-chip arena (Flight slots addressed
  * by index handles), so the routing stages capture {this, handle}
@@ -175,13 +174,6 @@ class CellSystem
     /** Seconds of simulated time elapsed since construction. */
     double seconds() const { return cfg_.clock.seconds(now()); }
 
-    /**
-     * Worker threads run() will use: --sim-jobs clamped to the chip
-     * count, forced to 1 when verification or tracing hooks (which
-     * touch cross-chip state) are installed.
-     */
-    unsigned runThreads() const;
-
     /** @name Placement introspection.  Physical SPE slots 8c..8c+7
      *        live on chip c. */
     /** @{ */
@@ -201,7 +193,8 @@ class CellSystem
      * Stages address it by handle so closures stay inline-small; the
      * payload buffer carries line data across chip boundaries, where
      * the far side must not dereference the backing store or LS on the
-     * home chip's behalf.
+     * home chip's behalf: a partition sees another chip's state only
+     * through the messages the engine delivers.
      */
     struct Flight
     {
@@ -297,7 +290,8 @@ class CellSystem
 
     /** @name Partitioned routing stages (numChips >= 2).  Far-side
      *        stages carry {home, far} chip indices by value: the far
-     *        partition must not read the home chip's arena. */
+     *        partition must not read the home chip's arena, whose
+     *        state may sit at a different tick within a window. */
     /** @{ */
     void partMemory(spe::LineRequest &&req);
     void partLocalStore(spe::LineRequest &&req);

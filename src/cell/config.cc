@@ -167,9 +167,6 @@ CellConfig::registerOptions(util::Options &opts)
                  "cross-check every DMA against the backing store");
     opts.addUint("trace-capacity", 0,
                  "max retained trace records per kind (0 = unbounded)");
-    opts.addUint("sim-jobs", 1,
-                 "worker threads for per-chip parallel simulation "
-                 "(result-neutral; 0 = one per chip)");
     opts.addBool("sim-profile", false,
                  "book per-component event counts and self-time into "
                  "the report");
@@ -274,7 +271,6 @@ CellConfig::fromOptions(const util::Options &opts)
     }
     cfg.verify = opts.getBool("verify");
     cfg.traceCapacity = opts.getUint("trace-capacity");
-    cfg.simJobs = static_cast<unsigned>(opts.getUint("sim-jobs"));
     cfg.simProfile = opts.getBool("sim-profile");
     return cfg;
 }

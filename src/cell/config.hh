@@ -53,7 +53,8 @@ struct CellConfig
      * 7 GB/s" through the IOIF.  Beyond 2 the machine becomes a
      * cluster: chips pair up on blades (eib::ClusterShape) joined by
      * inter-blade links; the ceiling is the flight handle's 4-bit chip
-     * field (cell::CellSystem::kMaxChips = 16).
+     * field (cell::CellSystem::kMaxChips = 16).  Two or more chips run
+     * as one partition each of sim::PartitionedEngine, serially.
      */
     unsigned numChips = 1;
 
@@ -91,16 +92,6 @@ struct CellConfig
      * 0 keeps everything.
      */
     std::uint64_t traceCapacity = 0;
-
-    /**
-     * Worker threads for the conservative parallel engine
-     * (--sim-jobs): each chip is a partition synchronized at IOIF
-     * crossing-latency granularity.  Effective parallelism is capped at
-     * numChips; reports are bit-identical for any value, so the flag is
-     * result-neutral (0 = one thread per chip).  Distinct from --jobs,
-     * which parallelizes *across* repeated runs.
-     */
-    unsigned simJobs = 1;
 
     /**
      * Book per-component event counts and dispatch self-time into the

@@ -40,14 +40,11 @@ ExperimentContext::ExperimentContext(std::string prog,
                   "the paper uses 32 MiB)");
     // These steer output/host scheduling only; results (and therefore
     // the cache key and the v2 report config) never depend on them.
+    // --sim-profile is NOT neutral: it adds profile.* counters to the
+    // report's metrics section.
     opts.setResultNeutral("jobs");
     opts.setResultNeutral("csv");
     opts.setResultNeutral("json");
-    // --sim-jobs picks how many threads execute the partitioned
-    // schedule; the schedule itself (and the report) is the same for
-    // any value.  --sim-profile is NOT neutral: it adds profile.*
-    // counters to the report's metrics section.
-    opts.setResultNeutral("sim-jobs");
 }
 
 bool

@@ -35,13 +35,6 @@ class BackingStore
     /** Fill @p size bytes at @p ea with @p value. */
     void fill(EffAddr ea, std::uint8_t value, std::uint64_t size);
 
-    /**
-     * Pre-fault every page in [@p ea, @p ea + @p size).  A partitioned
-     * simulation pre-touches each allocation so the page map is never
-     * mutated while two chips access the store concurrently.
-     */
-    void touch(EffAddr ea, std::uint64_t size);
-
     /** Read a single byte (0 if the page was never touched). */
     std::uint8_t byteAt(EffAddr ea) const;
 

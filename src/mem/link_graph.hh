@@ -12,8 +12,8 @@
  *
  * Data transfers serialize on every link of the path (each hop's
  * completion re-enters sendData from the intermediate chip, which keeps
- * each lane's reservation clock owned by its source partition under
- * --sim-jobs).  Commands and acks are latency-only and use
+ * each lane's reservation clock owned by its source partition of the
+ * partitioned engine).  Commands and acks are latency-only and use
  * pathLatency() with a direct cross-partition post instead.
  */
 
@@ -87,7 +87,7 @@ class LinkGraph
     /**
      * Move @p bytes from chip @p from to chip @p to, serializing on
      * every link of the route; @p onDone fires when the tail arrives at
-     * @p to (on @p to's partition under --sim-jobs).
+     * @p to (on @p to's partition).
      */
     template <typename F>
     void

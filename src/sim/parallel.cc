@@ -1,9 +1,6 @@
 #include "sim/parallel.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
-#include <thread>
 
 #include "sim/logging.hh"
 
@@ -104,15 +101,7 @@ PartitionedEngine::deliverDue(Tick horizon)
 }
 
 std::uint64_t
-PartitionedEngine::run(unsigned threads)
-{
-    if (threads > 1 && n_ > 1)
-        return runWindowsThreaded(std::min(threads, n_));
-    return runWindowsSerial();
-}
-
-std::uint64_t
-PartitionedEngine::runWindowsSerial()
+PartitionedEngine::run()
 {
     std::uint64_t events = 0;
     for (;;) {
@@ -127,52 +116,6 @@ PartitionedEngine::runWindowsSerial()
             events += q->runUntil(window_end);
     }
     return events;
-}
-
-std::uint64_t
-PartitionedEngine::runWindowsThreaded(unsigned threads)
-{
-    std::atomic<Tick> window_end{0};
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> events{0};
-    // Workers + the coordinator; two phases per window (start, finish).
-    std::barrier<> sync(static_cast<std::ptrdiff_t>(threads) + 1);
-
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-        workers.emplace_back([this, w, threads, &sync, &window_end,
-                              &stop, &events] {
-            for (;;) {
-                sync.arrive_and_wait();
-                if (stop.load(std::memory_order_relaxed))
-                    return;
-                Tick we = window_end.load(std::memory_order_relaxed);
-                std::uint64_t local = 0;
-                for (unsigned p = w; p < n_; p += threads)
-                    local += queues_[p]->runUntil(we);
-                events.fetch_add(local, std::memory_order_relaxed);
-                sync.arrive_and_wait();
-            }
-        });
-    }
-
-    for (;;) {
-        Tick tmin = nextTick();
-        if (tmin == maxTick)
-            break;
-        Tick we = (tmin > maxTick - lookahead_) ? maxTick
-                                                : tmin + lookahead_ - 1;
-        deliverDue(we);
-        window_end.store(we, std::memory_order_relaxed);
-        sync.arrive_and_wait();  // workers start the window
-        sync.arrive_and_wait();  // workers finished the window
-    }
-    stop.store(true, std::memory_order_relaxed);
-    sync.arrive_and_wait();
-    for (auto &t : workers)
-        t.join();
-    return events.load();
 }
 
 Tick

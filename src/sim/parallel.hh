@@ -1,6 +1,6 @@
 /**
  * @file
- * Conservative parallel discrete-event engine.
+ * Conservative partitioned discrete-event engine.
  *
  * The dual-Cell blade partitions naturally at the IOIF: everything on
  * one chip (its SPEs, its EIB, its XDR bank) interacts with the other
@@ -14,11 +14,12 @@
  * The engine owns one EventQueue per partition plus an n x n mesh of
  * message channels.  A partition sends work across the boundary with
  * post(); messages are delivered at window boundaries in a fixed
- * (when, srcPartition, seq) order, so the event schedule — and hence
- * every report — is bit-identical no matter how many worker threads
- * execute the windows.  Threads only change *who* runs a partition's
- * window, never *what order* events fire in: determinism is a property
- * of the partitioned schedule itself, not of thread count.
+ * (when, srcPartition, seq) order, and each window runs the partitions
+ * one after another in index order.  The event schedule — and hence
+ * every report — is a property of that partitioned schedule alone.
+ * Windows are a handful of events long (one IOIF crossing), so the
+ * engine runs them on the calling thread: synchronizing worker threads
+ * twice per window would cost more than the events themselves.
  *
  * The safety rule post() enforces: a message created by an event
  * executing at tick t must be delivered no earlier than t + L.  Since
@@ -70,12 +71,11 @@ class PartitionedEngine
     void post(unsigned src, unsigned dst, Tick when, ChannelFn fn);
 
     /**
-     * Run every partition until no events or undelivered messages
-     * remain.  @p threads worker threads execute the windows
-     * (1 = serial); results are identical for any value.
+     * Run every partition, window by window, until no events or
+     * undelivered messages remain.
      * @return total events processed across all partitions.
      */
-    std::uint64_t run(unsigned threads);
+    std::uint64_t run();
 
     /** Latest dispatched tick across all partitions. */
     Tick lastDispatchTick() const;
@@ -102,9 +102,6 @@ class PartitionedEngine
     /** Move every channel message with when <= @p horizon into its
      *  destination queue, in (when, src, seq) order. */
     void deliverDue(Tick horizon);
-
-    std::uint64_t runWindowsSerial();
-    std::uint64_t runWindowsThreaded(unsigned threads);
 
     unsigned n_;
     Tick lookahead_;

@@ -1,7 +1,8 @@
 # Exercises the cellbw driver's error paths end to end: unknown
 # experiment names, malformed manifests, a corrupted cache entry
-# (which must degrade to a miss, not poison the run), and validate
-# against a missing baseline directory.
+# (which must degrade to a miss, not poison the run), validate
+# against a missing baseline directory, and the retired --sim-jobs
+# flag.
 #
 # Usage:
 #   cmake -DCELLBW=<cellbw> -DWORKDIR=<scratch dir> -P test_cellbw_cli.cmake
@@ -138,6 +139,16 @@ endif()
 run_cellbw(noval 2 validate --quick --baselines no/such/dir)
 if(NOT noval_err MATCHES "cellbw validate:")
     message(FATAL_ERROR "validate error message:\n${noval_err}")
+endif()
+
+# --- 5. Retired --sim-jobs flag is rejected by name -----------------
+# Runs are serial inside one simulation; the flag that once picked a
+# thread count for the partitioned engine must fail loudly, not be
+# silently ignored.
+run_cellbw(simjobs nonzero run abl_dualchip --quick --sim-jobs 2)
+if(NOT simjobs_err MATCHES "--sim-jobs")
+    message(FATAL_ERROR "--sim-jobs rejection does not name the flag:\n"
+                        "${simjobs_err}")
 endif()
 
 message(STATUS "cellbw CLI error paths behave")

@@ -149,30 +149,6 @@ TEST(DualChip, PairedAffinityKeepsPairsOnOneChip)
     }
 }
 
-TEST(DualChip, SimJobsNeverChangesTheAnswer)
-{
-    // The partitioned engine's window schedule is fixed by the IOIF
-    // crossing-latency lookahead; worker threads only change who
-    // executes a window.  Bandwidth must therefore be exactly equal —
-    // not merely close — for any --sim-jobs value, including thread
-    // counts above the partition count.
-    auto run = [](unsigned simJobs) {
-        auto cfg = twoChips(cell::AffinityPolicy::Random);
-        cfg.numSpes = 16;
-        cfg.simJobs = simJobs;
-        cell::CellSystem sys(cfg, 7);   // seed 7: mixed placement
-        core::SpeSpeConfig sc;
-        sc.numSpes = 16;
-        sc.elemBytes = 4096;
-        sc.bytesPerStream = 256 * util::KiB;
-        return core::runSpeSpe(sys, sc);
-    };
-    const double serial = run(1);
-    ASSERT_GT(serial, 0.0);
-    EXPECT_EQ(serial, run(2));
-    EXPECT_EQ(serial, run(4));
-}
-
 TEST(DualChip, SixteenSpeCouplesScaleAcrossChips)
 {
     // With paired affinity all 8 couples are chip-local: aggregate

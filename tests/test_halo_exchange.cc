@@ -1,7 +1,7 @@
 /** @file Tests for the cluster halo-exchange stencil: degenerate
  *        single-chip behaviour, checked-mode cross-verification, exact
- *        cross-chip byte accounting, placement policies, --sim-jobs
- *        identity, and the locality-aware offload dispatcher. */
+ *        cross-chip byte accounting, placement policies, per-seed
+ *        determinism, and the locality-aware offload dispatcher. */
 
 #include <gtest/gtest.h>
 
@@ -126,23 +126,6 @@ TEST(HaloExchange, CheckedModeSeesNoDivergence)
     core::runClusterHalo(sys, smallHalo(cell::TaskPlacement::Locality));
     EXPECT_GT(sys.verifyStats().bytesChecked, 0u);
     EXPECT_EQ(sys.verifyStats().divergences, 0u);
-}
-
-TEST(HaloExchange, SimJobsNeverChangesTheAnswer)
-{
-    auto run = [](unsigned simJobs, cell::TaskPlacement p) {
-        auto cfg = clusterConfig(4);
-        cfg.simJobs = simJobs;
-        cell::CellSystem sys(cfg, 7);
-        return core::runClusterHalo(sys, smallHalo(p)).gbps;
-    };
-    for (auto p : {cell::TaskPlacement::Locality,
-                   cell::TaskPlacement::RoundRobin}) {
-        const double serial = run(1, p);
-        ASSERT_GT(serial, 0.0);
-        EXPECT_EQ(serial, run(2, p));
-        EXPECT_EQ(serial, run(4, p));
-    }
 }
 
 TEST(HaloExchange, DeterministicPerSeed)

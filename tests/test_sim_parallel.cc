@@ -23,7 +23,7 @@ TEST(PartitionedEngine, LocalEventsRunWithoutCrossings)
     eng.queue(0).schedule(10, [&] { ++fired; });
     eng.queue(1).schedule(20, [&] { ++fired; });
     eng.queue(1).schedule(20, [&] { ++fired; });
-    EXPECT_EQ(eng.run(1), 3u);
+    EXPECT_EQ(eng.run(), 3u);
     EXPECT_EQ(fired, 3);
     EXPECT_EQ(eng.messagesDelivered(), 0u);
     EXPECT_EQ(eng.eventsProcessed(), 3u);
@@ -39,7 +39,7 @@ TEST(PartitionedEngine, PostDeliversAtTheRequestedTick)
                  sim::PartitionedEngine::ChannelFn(
                      [&] { seen = eng.queue(1).now(); }));
     });
-    eng.run(1);
+    eng.run();
     EXPECT_EQ(seen, 110u);
     EXPECT_EQ(eng.messagesDelivered(), 1u);
 }
@@ -50,7 +50,7 @@ TEST(PartitionedEngine, DeliveryOrderIsWhenSourceSeq)
     // partition 0 (in post order) and one from partition 1.  A local
     // event already queued for that tick fires first (bucket FIFO),
     // then the deliveries in (when, src, seq) order — the fixed merge
-    // that makes the schedule thread-count independent.
+    // that makes the schedule independent of the channel scan.
     sim::PartitionedEngine eng(3, kLook);
     std::vector<int> order;
     eng.queue(2).scheduleAt(kLook, [&] { order.push_back(99); });
@@ -64,7 +64,7 @@ TEST(PartitionedEngine, DeliveryOrderIsWhenSourceSeq)
         eng.post(1, 2, kLook, sim::PartitionedEngine::ChannelFn(
                                   [&] { order.push_back(3); }));
     });
-    eng.run(1);
+    eng.run();
     EXPECT_EQ(order, (std::vector<int>{99, 1, 2, 3}));
 }
 
@@ -77,7 +77,7 @@ namespace
  * (partition, tick) trace in delivery order.
  */
 std::vector<std::pair<unsigned, Tick>>
-pingPongTrace(unsigned threads, int bounces)
+pingPongTrace(int bounces)
 {
     sim::PartitionedEngine eng(2, kLook);
     std::vector<std::pair<unsigned, Tick>> trace;
@@ -103,22 +103,19 @@ pingPongTrace(unsigned threads, int bounces)
         }
     } bouncer{eng, trace, left};
     eng.queue(0).schedule(3, [&] { bouncer.send(0); });
-    eng.run(threads);
+    eng.run();
     return trace;
 }
 
 } // namespace
 
-TEST(PartitionedEngine, ThreadedScheduleMatchesSerial)
+TEST(PartitionedEngine, PingPongCrossesOneLookaheadPerBounce)
 {
-    // Threads change who executes a window, never what order events
-    // fire in: the trace must be identical for any worker count.
-    const auto serial = pingPongTrace(1, 24);
-    ASSERT_EQ(serial.size(), 24u);
-    EXPECT_EQ(serial.front(), (std::pair<unsigned, Tick>{1u, 103u}));
-    EXPECT_EQ(serial.back().second, 3u + 24u * kLook);
-    EXPECT_EQ(pingPongTrace(2, 24), serial);
-    EXPECT_EQ(pingPongTrace(4, 24), serial);
+    // Every bounce lands exactly one lookahead after it was sent.
+    const auto trace = pingPongTrace(24);
+    ASSERT_EQ(trace.size(), 24u);
+    EXPECT_EQ(trace.front(), (std::pair<unsigned, Tick>{1u, 103u}));
+    EXPECT_EQ(trace.back().second, 3u + 24u * kLook);
 }
 
 namespace
@@ -128,14 +125,11 @@ namespace
  * A deterministic four-partition relay: a token hops around the ring
  * 0 -> 1 -> 2 -> 3 -> 0 for @p laps laps, while partition 0 also posts
  * a diagonal message straight to partition 2 every lap (non-adjacent
- * partitions must work just like neighbours).  The engine pins the
- * schedule *within* each partition, not the wall-clock interleaving of
- * different partitions, so the trace is kept per partition: entry
- * (tick, isDiagonal) in delivery order.  Each vector is only ever
- * touched by the thread currently running that partition.
+ * partitions must work just like neighbours).  The trace is kept per
+ * partition: entry (tick, isDiagonal) in delivery order.
  */
 std::vector<std::vector<std::pair<Tick, bool>>>
-ringTrace(unsigned threads, int laps)
+ringTrace(int laps)
 {
     constexpr unsigned kParts = 4;
     sim::PartitionedEngine eng(kParts, kLook);
@@ -167,30 +161,25 @@ ringTrace(unsigned threads, int laps)
         }
     } relay{eng, trace, left};
     eng.queue(0).schedule(5, [&] { relay.send(0); });
-    eng.run(threads);
+    eng.run();
     return trace;
 }
 
 } // namespace
 
-TEST(PartitionedEngine, FourPartitionRingMatchesSerial)
+TEST(PartitionedEngine, FourPartitionRingSchedule)
 {
     // Four partitions, neighbour hops plus a diagonal 0 -> 2 post every
-    // lap: each partition's delivery schedule is thread-count
-    // independent, just as in the two-partition case.
-    const auto serial = ringTrace(1, 6);
-    // 6 laps land one hop on every partition; partition 2 also gets
-    // one diagonal per visit to partition 0 (kick-off + 5 laps).
-    ASSERT_EQ(serial.size(), 4u);
-    EXPECT_EQ(serial[1].size(), 6u);
-    EXPECT_EQ(serial[2].size(), 12u);
-    EXPECT_EQ(serial[1].front(), (std::pair<Tick, bool>{105u, false}));
+    // lap.  6 laps land one hop on every partition; partition 2 also
+    // gets one diagonal per visit to partition 0 (kick-off + 5 laps).
+    const auto trace = ringTrace(6);
+    ASSERT_EQ(trace.size(), 4u);
+    EXPECT_EQ(trace[1].size(), 6u);
+    EXPECT_EQ(trace[2].size(), 12u);
+    EXPECT_EQ(trace[1].front(), (std::pair<Tick, bool>{105u, false}));
     // The diagonal beats the two-hop ring path to partition 2.
-    EXPECT_EQ(serial[2][0], (std::pair<Tick, bool>{105u, true}));
-    EXPECT_EQ(serial[2][1], (std::pair<Tick, bool>{205u, false}));
-    EXPECT_EQ(ringTrace(2, 6), serial);
-    EXPECT_EQ(ringTrace(4, 6), serial);
-    EXPECT_EQ(ringTrace(8, 6), serial);
+    EXPECT_EQ(trace[2][0], (std::pair<Tick, bool>{105u, true}));
+    EXPECT_EQ(trace[2][1], (std::pair<Tick, bool>{205u, false}));
 }
 
 TEST(PartitionedEngine, DiagonalPostsReachNonAdjacentPartitions)
@@ -209,7 +198,7 @@ TEST(PartitionedEngine, DiagonalPostsReachNonAdjacentPartitions)
                  sim::PartitionedEngine::ChannelFn(
                      [&] { at31 = eng.queue(1).now(); }));
     });
-    EXPECT_EQ(eng.run(2), 4u);
+    EXPECT_EQ(eng.run(), 4u);
     EXPECT_EQ(at02, 110u);
     EXPECT_EQ(at31, 120u);
     EXPECT_EQ(eng.messagesDelivered(), 2u);
@@ -222,7 +211,7 @@ TEST(PartitionedEngine, EventsProcessedCountsDeliveredMessages)
         eng.post(0, 1, kLook,
                  sim::PartitionedEngine::ChannelFn([] {}));
     });
-    eng.run(1);
+    eng.run();
     // The origin event plus the delivered continuation.
     EXPECT_EQ(eng.eventsProcessed(), 2u);
     EXPECT_EQ(eng.messagesDelivered(), 1u);
@@ -236,7 +225,7 @@ TEST(PartitionedEngineDeathTest, PostBelowTheLookaheadPanics)
         eng.post(0, 1, eng.queue(0).now() + kLook - 1,
                  sim::PartitionedEngine::ChannelFn([] {}));
     });
-    EXPECT_DEATH(eng.run(1), "lookahead");
+    EXPECT_DEATH(eng.run(), "lookahead");
 }
 
 TEST(PartitionedEngineDeathTest, PostToUnknownPartitionPanics)
@@ -247,5 +236,5 @@ TEST(PartitionedEngineDeathTest, PostToUnknownPartitionPanics)
         eng.post(0, 2, kLook,
                  sim::PartitionedEngine::ChannelFn([] {}));
     });
-    EXPECT_DEATH(eng.run(1), "unknown partition");
+    EXPECT_DEATH(eng.run(), "unknown partition");
 }

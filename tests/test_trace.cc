@@ -93,21 +93,6 @@ TEST(Tracing, SystemHookupCapturesARealRun)
     EXPECT_NE(rec.renderDmaTimeline().find("spe0"), std::string::npos);
 }
 
-TEST(Recorder, ParaverExportHasHeaderAndStates)
-{
-    trace::Recorder rec;
-    rec.dma({0, 10, 500, 0, spe::DmaDir::Get, 0, 1024, false, false});
-    rec.dma({50, 60, 700, 2, spe::DmaDir::Put, 1, 2048, false, false});
-    // 1 tick = 0.476 ns at 2.1 GHz; use 1.0 for easy numbers.
-    std::string prv = rec.paraverExport(1.0);
-    EXPECT_EQ(prv.rfind("#Paraver", 0), 0u);
-    EXPECT_NE(prv.find(":700_ns:"), std::string::npos);
-    // GET on task 1: state 1 from 10 to 500.
-    EXPECT_NE(prv.find("1:1:1:1:1:10:500:1"), std::string::npos);
-    // PUT on task 3: state 2 from 60 to 700.
-    EXPECT_NE(prv.find("1:3:1:3:1:60:700:2"), std::string::npos);
-}
-
 TEST(Tracing, EnableTracingIsIdempotent)
 {
     cell::CellConfig cfg;
@@ -135,26 +120,6 @@ TEST(Recorder, TimelineSurvivesDegenerateWidths)
         std::string tl = rec.renderDmaTimeline(w);
         EXPECT_NE(tl.find("spe0"), std::string::npos) << "width " << w;
     }
-}
-
-TEST(Recorder, ParaverExportOfEmptyTraceIsEmpty)
-{
-    // Regression: an empty trace used to emit a bogus header claiming
-    // one task and a huge duration from Tick underflow.
-    trace::Recorder rec;
-    EXPECT_EQ(rec.paraverExport(1.0), "");
-}
-
-TEST(Recorder, ParaverExportRoundsNsConversion)
-{
-    // Regression: ns conversion used to truncate, collapsing sub-ns
-    // records to zero-length states.  issued 3, completed 5 at
-    // 0.5 ns/tick must round to the 2..3 ns window, not 1..2.
-    trace::Recorder rec;
-    rec.dma({0, 3, 5, 0, spe::DmaDir::Get, 0, 128, false, false});
-    std::string prv = rec.paraverExport(0.5);
-    EXPECT_NE(prv.find(":3_ns:"), std::string::npos);
-    EXPECT_NE(prv.find("1:1:1:1:1:2:3:1"), std::string::npos);
 }
 
 TEST(Recorder, CapacityBoundsBuffersAndCountsDrops)
