@@ -138,9 +138,7 @@ parseDoubleArg(const char *flag, const char *val, double &out)
         std::fprintf(stderr, "cellbw: %s needs a value\n", flag);
         return false;
     }
-    char *end = nullptr;
-    out = std::strtod(val, &end);
-    if (end == val || *end != '\0' || out < 0) {
+    if (!util::parseDouble(val, out) || out < 0) {
         std::fprintf(stderr, "cellbw: bad %s value '%s'\n", flag, val);
         return false;
     }

@@ -37,30 +37,31 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
                    cfg_.numChips, cfg_.numBlades);
     }
 
+    // Each chip is a partition; the smallest link crossing latency is
+    // the conservative lookahead (nothing on one chip can affect
+    // another sooner than one crossing).
+    Tick lookahead = cfg_.memory.ioLink.crossingLatency;
+    shape.forEachLink([&](unsigned, unsigned, bool interBlade) {
+        if (interBlade) {
+            lookahead =
+                std::min(lookahead, cfg_.memory.bladeLink.crossingLatency);
+        }
+    });
+    engine_ =
+        std::make_unique<sim::PartitionedEngine>(cfg_.numChips, lookahead);
     if (cfg_.numChips == 1) {
-        eq_ = std::make_unique<sim::EventQueue>();
+        // The far bank has no partition of its own: both banks, and
+        // the IOIF between them, live on chip 0's queue.
         memory_ =
-            std::make_unique<mem::MemorySystem>("mem", *eq_, cfg_.memory);
+            std::make_unique<mem::MemorySystem>("mem", queue(0), cfg_.memory);
     } else {
-        // Each chip is a partition; the smallest link crossing latency
-        // is the conservative lookahead (nothing on one chip can affect
-        // another sooner than one crossing).
-        Tick lookahead = cfg_.memory.ioLink.crossingLatency;
-        shape.forEachLink([&](unsigned, unsigned, bool interBlade) {
-            if (interBlade) {
-                lookahead = std::min(
-                    lookahead, cfg_.memory.bladeLink.crossingLatency);
-            }
-        });
-        engine_ = std::make_unique<sim::PartitionedEngine>(
-            cfg_.numChips, lookahead);
         std::vector<sim::EventQueue *> bankQueues;
         for (unsigned c = 0; c < cfg_.numChips; ++c)
-            bankQueues.push_back(&engine_->queue(c));
+            bankQueues.push_back(&queue(c));
         memory_ = std::make_unique<mem::MemorySystem>(
-            "mem", engine_->queue(0), cfg_.memory, bankQueues);
+            "mem", queue(0), cfg_.memory, bankQueues);
         memory_->links().setPartitioned(
-            [this](unsigned c) { return &engine_->queue(c); },
+            [this](unsigned c) { return &queue(c); },
             [this](unsigned src, unsigned dst, Tick when,
                    mem::IoLink::CrossingFn fn) {
                 engine_->post(src, dst, when, std::move(fn));
@@ -104,12 +105,8 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
         spes_.push_back(std::move(s));
     }
 
-    if (cfg_.simProfile) {
-        if (engine_)
-            engine_->setProfiling(true);
-        else
-            eq_->setProfiling(true);
-    }
+    if (cfg_.simProfile)
+        engine_->setProfiling(true);
 }
 
 CellSystem::~CellSystem() = default;
@@ -239,10 +236,7 @@ CellSystem::launch(sim::Task task)
 void
 CellSystem::run()
 {
-    if (engine_)
-        engine_->run();
-    else
-        eq_->run();
+    engine_->run();
     for (auto &p : programs_) {
         p.rethrow();
         if (!p.done()) {
@@ -258,89 +252,97 @@ CellSystem::routeLine(spe::LineRequest &&req)
 {
     if (req.speIndex >= spes_.size())
         sim::panic("DMA line from unknown SPE %u", req.speIndex);
-    if (engine_) {
-        if (isLsEa(req.ea))
-            partLocalStore(std::move(req));
-        else
-            partMemory(std::move(req));
-    } else {
-        if (isLsEa(req.ea))
-            routeLocalStore(std::move(req));
-        else
-            routeMemory(std::move(req));
-    }
+    if (isLsEa(req.ea))
+        routeLocalStore(std::move(req));
+    else
+        routeMemory(std::move(req));
 }
 
 /**
- * Memory routing, single queue.  The line rides the issuing SPE's EIB
- * between its ramp and either the local MIC (bank on the same chip) or
- * the IOIF ramp (bank on the other chip).  With one chip the far bank
- * still exists (NUMA ablations) but its EIB is not simulated: crossing
- * costs the IOIF serialization only.
+ * Memory routing.  The line rides the issuing SPE's EIB between its
+ * ramp and either the local MIC (bank on the same chip) or the IOIF
+ * ramp (bank on another chip).  Chip-local lines stay entirely on the
+ * issuing chip's queue.
  *
- * Stages address the in-flight line by arena handle, so every closure
- * here is {this, handle} — inline-stored, allocation-free.
+ * A crossing line's far-side stages (the target chip's bank and EIB)
+ * run on the far partition and must not touch the home chip's arena:
+ * within a window the partitions run one after another, so the home
+ * chip's state may be ahead of or behind the far stage's tick.  They
+ * carry their routing state ({ea, bytes, handle, home and far chips})
+ * and, on the way home, the 128-byte payload by value inside the
+ * cross-partition message — the one place information moves between
+ * partitions.  Multi-hop routes (other blade) serialize on every link:
+ * LinkGraph::sendData re-posts from each intermediate chip's partition.
+ *
+ * The single-chip blade's far bank (bank >= numChips) has no partition:
+ * its command pays the IOIF crossing, the bank is serviced on the
+ * issuing chip's queue, and the line serializes on the IOIF, but no
+ * far EIB is simulated.
+ *
+ * Home-chip stages address the in-flight line by arena handle, so
+ * their closures are {this, handle} — inline-stored, allocation-free.
  */
 void
 CellSystem::routeMemory(spe::LineRequest &&req)
 {
     unsigned bank = memory_->bankOf(req.ea);
-    unsigned spe_chip = chipOf(req.speIndex);
-    std::uint32_t bytes = req.bytes;
-    spe::Spe *s = spes_[req.speIndex].get();
+    unsigned sc = chipOf(req.speIndex);
     bool isGet = req.dir == spe::DmaDir::Get;
+    std::uint32_t bytes = req.bytes;
+    EffAddr ea = req.ea;
+    spe::Spe *s = spes_[req.speIndex].get();
 
-    std::uint32_t h = acquireFlight(0, std::move(req));
+    std::uint32_t h = acquireFlight(sc, std::move(req));
     Flight &f = flight(h);
     f.bank = static_cast<std::uint8_t>(bank);
-    f.srcChip = static_cast<std::uint8_t>(spe_chip);
-    f.crossing = (bank != spe_chip);
+    f.srcChip = static_cast<std::uint8_t>(sc);
+    f.crossing = (bank != sc);
 
-    if (isGet) {
-        // Command phase to the controller, bank read, (IOIF crossing,)
-        // data ride home, LS write.
-        Tick cmd = cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus);
-        if (f.crossing)
-            cmd += memory_->ioLink().crossingLatency();
-        eq_->schedule(cmd, [this, h] { memGetAccess(h); });
-    } else {
-        // LS read, data ride out, (IOIF crossing,) bank write.
+    if (!isGet) {
+        // LS read, data ride out, (link crossing,) bank write.
         Tick ls_done = s->ls().reservePort(bytes);
-        eq_->scheduleAt(ls_done, [this, h] { memPutRide(h); });
+        queue(sc).scheduleAt(ls_done, [this, h] { memPutRide(h); });
+        return;
     }
+    // Command phase to the controller, bank read, (link crossing,)
+    // data ride home, LS write.  A crossing command pays every link of
+    // the route (latency only — commands are tiny).
+    Tick cmd = cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus);
+    if (f.crossing)
+        cmd += memory_->links().pathLatency(sc, bank);
+    if (!farPartition(f)) {
+        queue(sc).schedule(cmd, [this, h] { memGetAccess(h); });
+        return;
+    }
+    engine_->post(sc, bank, queue(sc).now() + cmd,
+                  sim::PartitionedEngine::ChannelFn(
+                      [this, ea, bytes, h, sc, bank] {
+                          memGetFar(ea, bytes, h, sc, bank);
+                      }));
 }
 
 void
 CellSystem::memGetAccess(std::uint32_t h)
 {
     Flight &f = flight(h);
-    memory_->bank(f.bank).access(f.req.ea, f.req.bytes, false,
-                                 [this, h] { memGetData(h); });
+    memory_->bank(f.bank).access(f.req.ea, f.req.bytes, false, [this, h] {
+        Flight &g = flight(h);
+        if (!g.crossing) {
+            memGetRide(h);
+            return;
+        }
+        // The single-chip far bank: the data crosses the IOIF home.
+        memory_->links().sendData(g.bank, g.srcChip, g.req.bytes,
+                                  [this, h] { memGetRide(h); });
+    });
 }
 
 void
-CellSystem::memGetData(std::uint32_t h)
+CellSystem::memGetRide(std::uint32_t h)
 {
     Flight &f = flight(h);
-    if (!f.crossing) {
-        memGetDeliver(h);
-        return;
-    }
-    // The data lane is named from chip 0's viewpoint: Inbound carries
-    // payloads toward chip 0.
-    auto lane = (f.srcChip == 0) ? mem::IoLink::Dir::Inbound
-                                 : mem::IoLink::Dir::Outbound;
-    memory_->ioLink().send(lane, f.req.bytes,
-                           [this, h] { memGetDeliver(h); });
-}
-
-void
-CellSystem::memGetDeliver(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eib::RampPos local_ramp = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(local_ramp, rampOf(f.req.speIndex),
-                               f.req.bytes,
+    eib::RampPos from = f.crossing ? eib::ioif0Ramp : eib::micRamp;
+    eibs_[f.srcChip]->transfer(from, rampOf(f.req.speIndex), f.req.bytes,
                                [this, h] { memGetLand(h); });
 }
 
@@ -351,23 +353,73 @@ CellSystem::memGetLand(std::uint32_t h)
     spe::Spe *s = spes_[f.req.speIndex].get();
     Tick done_at = s->ls().reservePort(f.req.bytes);
     std::uint8_t buf[spe::lineBytes];
-    memory_->store().read(f.req.ea, buf, f.req.bytes);
+    // A line from another partition came home in the flight's payload.
+    std::uint8_t *data = f.payload;
+    if (!farPartition(f)) {
+        memory_->store().read(f.req.ea, buf, f.req.bytes);
+        data = buf;
+    }
     if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    s->ls().write(f.req.lsa, buf, f.req.bytes);
+        data[0] ^= 0xA5;
+    s->ls().write(f.req.lsa, data, f.req.bytes);
+    unsigned chip = f.srcChip;
     auto done = std::move(f.req.done);
     releaseFlight(h);
-    eq_->scheduleAt(done_at, std::move(done));
+    queue(chip).scheduleAt(done_at, std::move(done));
+}
+
+void
+CellSystem::memGetFar(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
+                      unsigned homeChip, unsigned farChip)
+{
+    memory_->bank(farChip).access(
+        ea, bytes, false, [this, ea, bytes, h, homeChip, farChip] {
+            memGetFarRide(ea, bytes, h, homeChip, farChip);
+        });
+}
+
+void
+CellSystem::memGetFarRide(EffAddr ea, std::uint32_t bytes,
+                          std::uint32_t h, unsigned homeChip,
+                          unsigned farChip)
+{
+    eibs_[farChip]->transfer(eib::micRamp, eib::ioif0Ramp, bytes,
+                             [this, ea, bytes, h, homeChip, farChip] {
+                                 memGetFarCross(ea, bytes, h, homeChip,
+                                                farChip);
+                             });
+}
+
+void
+CellSystem::memGetFarCross(EffAddr ea, std::uint32_t bytes,
+                           std::uint32_t h, unsigned homeChip,
+                           unsigned farChip)
+{
+    // The data leaves the far chip here: read it out of the backing
+    // store now and let the crossing message carry it home by value
+    // (serializing on every link of the route back).
+    std::uint8_t buf[spe::lineBytes];
+    memory_->store().read(ea, buf, bytes);
+    memory_->links().sendData(farChip, homeChip, bytes,
+                              [this, h, bytes, buf] {
+                                  Flight &f = flight(h);
+                                  std::memcpy(f.payload, buf, bytes);
+                                  memGetRide(h);
+                              });
 }
 
 void
 CellSystem::memPutRide(std::uint32_t h)
 {
     Flight &f = flight(h);
-    eib::RampPos local_ramp = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(rampOf(f.req.speIndex), local_ramp,
-                               f.req.bytes,
-                               [this, h] { memPutStore(h); });
+    eib::RampPos to = f.crossing ? eib::ioif0Ramp : eib::micRamp;
+    eibs_[f.srcChip]->transfer(rampOf(f.req.speIndex), to, f.req.bytes,
+                               [this, h] {
+                                   if (farPartition(flight(h)))
+                                       memPutCross(h);
+                                   else
+                                       memPutStore(h);
+                               });
 }
 
 void
@@ -384,10 +436,9 @@ CellSystem::memPutStore(std::uint32_t h)
         memPutBank(h);
         return;
     }
-    auto lane = (f.bank == 0) ? mem::IoLink::Dir::Inbound
-                              : mem::IoLink::Dir::Outbound;
-    memory_->ioLink().send(lane, f.req.bytes,
-                           [this, h] { memPutBank(h); });
+    // The single-chip far bank: the data crosses the IOIF first.
+    memory_->links().sendData(f.srcChip, f.bank, f.req.bytes,
+                              [this, h] { memPutBank(h); });
 }
 
 void
@@ -402,253 +453,8 @@ CellSystem::memPutBank(std::uint32_t h)
     memory_->bank(bank).access(ea, bytes, true, std::move(done));
 }
 
-/**
- * LS-to-LS routing, single queue.  Both SPEs live on the one chip, so
- * the transfer rides one EIB between the data-holding LS (remote for
- * GET, local for PUT) and the receiving LS.
- */
 void
-CellSystem::routeLocalStore(spe::LineRequest &&req)
-{
-    EffAddr rel = req.ea - lsEaBase;
-    auto target_idx = static_cast<unsigned>(rel / lsEaStride);
-    auto off = static_cast<LsAddr>(rel % lsEaStride);
-    if (target_idx >= spes_.size()) {
-        sim::fatal("DMA to LS aperture of SPE %u, which does not exist",
-                   target_idx);
-    }
-    if (target_idx == req.speIndex)
-        sim::fatal("DMA to the issuing SPE's own LS aperture");
-
-    bool isGet = req.dir == spe::DmaDir::Get;
-    unsigned issuer = req.speIndex;
-
-    std::uint32_t h = acquireFlight(0, std::move(req));
-    Flight &f = flight(h);
-    f.srcSpe = static_cast<std::uint16_t>(isGet ? target_idx : issuer);
-    f.dstSpe = static_cast<std::uint16_t>(isGet ? issuer : target_idx);
-    f.srcLsa = isGet ? off : f.req.lsa;
-    f.dstLsa = isGet ? f.req.lsa : off;
-    f.srcChip = 0;
-    f.crossing = false;
-
-    // Command latency to reach a remote MFC (GET only; PUT data
-    // originates locally).
-    Tick cmd =
-        isGet ? cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) : 0;
-    eq_->schedule(cmd, [this, h] { lsRead(h); });
-}
-
-void
-CellSystem::lsRead(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    Tick read_done = spes_[f.srcSpe]->ls().reservePort(f.req.bytes);
-    eq_->scheduleAt(read_done, [this, h] { lsRide(h); });
-}
-
-void
-CellSystem::lsRide(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eibs_[f.srcChip]->transfer(rampOf(f.srcSpe), rampOf(f.dstSpe),
-                               f.req.bytes, [this, h] { lsLand(h); });
-}
-
-void
-CellSystem::lsLand(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *src = spes_[f.srcSpe].get();
-    spe::Spe *dst = spes_[f.dstSpe].get();
-    Tick done_at = dst->ls().reservePort(f.req.bytes);
-    std::uint8_t buf[spe::lineBytes];
-    src->ls().read(f.srcLsa, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    dst->ls().write(f.dstLsa, buf, f.req.bytes);
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    eq_->scheduleAt(done_at, std::move(done));
-}
-
-/**
- * Memory routing, partitioned (numChips >= 2).  Chip-local lines stay
- * entirely on the issuing chip's queue.  A crossing line's far-side
- * stages (the target chip's bank and EIB) run on the far partition and
- * must not touch the home chip's arena: within a window the partitions
- * run one after another, so the home chip's state may be ahead of or
- * behind the far stage's tick.  They carry their routing state ({ea,
- * bytes, handle, home and far chips}) and, on the way home, the
- * 128-byte payload by value inside the cross-partition message — the
- * one place information moves between partitions.  Multi-hop routes (other
- * blade) serialize on every link: LinkGraph::sendData re-posts from
- * each intermediate chip's partition.
- */
-void
-CellSystem::partMemory(spe::LineRequest &&req)
-{
-    unsigned bank = memory_->bankOf(req.ea);
-    unsigned sc = chipOf(req.speIndex);
-    bool crossing = (bank != sc);
-    bool isGet = req.dir == spe::DmaDir::Get;
-    std::uint32_t bytes = req.bytes;
-    EffAddr ea = req.ea;
-    spe::Spe *s = spes_[req.speIndex].get();
-
-    std::uint32_t h = acquireFlight(sc, std::move(req));
-    Flight &f = flight(h);
-    f.bank = static_cast<std::uint8_t>(bank);
-    f.srcChip = static_cast<std::uint8_t>(sc);
-    f.crossing = crossing;
-
-    if (isGet) {
-        Tick cmd = cfg_.clock.busCycles(cfg_.eib.cmdLatencyBus);
-        if (!crossing) {
-            queue(sc).schedule(cmd, [this, h] { partMemGetAccess(h); });
-        } else {
-            // The command phase crosses to the bank's chip (latency
-            // only — commands are tiny — but it pays every link of the
-            // route).
-            const Tick L = memory_->links().pathLatency(sc, bank);
-            engine_->post(
-                sc, bank, queue(sc).now() + cmd + L,
-                sim::PartitionedEngine::ChannelFn(
-                    [this, ea, bytes, h, sc, bank] {
-                        partMemGetFar(ea, bytes, h, sc, bank);
-                    }));
-        }
-    } else {
-        Tick ls_done = s->ls().reservePort(bytes);
-        queue(sc).scheduleAt(ls_done, [this, h] { partMemPutRide(h); });
-    }
-}
-
-void
-CellSystem::partMemGetAccess(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    memory_->bank(f.bank).access(f.req.ea, f.req.bytes, false,
-                                 [this, h] { partMemGetRide(h); });
-}
-
-void
-CellSystem::partMemGetRide(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eib::RampPos from = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(from, rampOf(f.req.speIndex), f.req.bytes,
-                               [this, h] { partMemGetLand(h); });
-}
-
-void
-CellSystem::partMemGetLand(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *s = spes_[f.req.speIndex].get();
-    Tick done_at = s->ls().reservePort(f.req.bytes);
-    if (f.crossing) {
-        // The line's data came home in the flight's payload buffer.
-        if (f.req.corrupt)
-            f.payload[0] ^= 0xA5;
-        s->ls().write(f.req.lsa, f.payload, f.req.bytes);
-    } else {
-        std::uint8_t buf[spe::lineBytes];
-        memory_->store().read(f.req.ea, buf, f.req.bytes);
-        if (f.req.corrupt)
-            buf[0] ^= 0xA5;
-        s->ls().write(f.req.lsa, buf, f.req.bytes);
-    }
-    unsigned chip = f.srcChip;
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    queue(chip).scheduleAt(done_at, std::move(done));
-}
-
-void
-CellSystem::partMemGetFar(EffAddr ea, std::uint32_t bytes,
-                          std::uint32_t h, unsigned homeChip,
-                          unsigned farChip)
-{
-    memory_->bank(farChip).access(
-        ea, bytes, false, [this, ea, bytes, h, homeChip, farChip] {
-            partMemGetFarRide(ea, bytes, h, homeChip, farChip);
-        });
-}
-
-void
-CellSystem::partMemGetFarRide(EffAddr ea, std::uint32_t bytes,
-                              std::uint32_t h, unsigned homeChip,
-                              unsigned farChip)
-{
-    eibs_[farChip]->transfer(eib::micRamp, eib::ioif0Ramp, bytes,
-                             [this, ea, bytes, h, homeChip, farChip] {
-                                 partMemGetFarCross(ea, bytes, h,
-                                                    homeChip, farChip);
-                             });
-}
-
-void
-CellSystem::partMemGetFarCross(EffAddr ea, std::uint32_t bytes,
-                               std::uint32_t h, unsigned homeChip,
-                               unsigned farChip)
-{
-    // The data leaves the far chip here: read it out of the backing
-    // store now and let the crossing message carry it home by value
-    // (serializing on every link of the route back).
-    std::uint8_t buf[spe::lineBytes];
-    memory_->store().read(ea, buf, bytes);
-    memory_->links().sendData(farChip, homeChip, bytes,
-                              [this, h, bytes, buf] {
-                                  Flight &f = flight(h);
-                                  std::memcpy(f.payload, buf, bytes);
-                                  partMemGetHome(h);
-                              });
-}
-
-void
-CellSystem::partMemGetHome(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eibs_[f.srcChip]->transfer(eib::ioif0Ramp, rampOf(f.req.speIndex),
-                               f.req.bytes,
-                               [this, h] { partMemGetLand(h); });
-}
-
-void
-CellSystem::partMemPutRide(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    eib::RampPos to = f.crossing ? eib::ioif0Ramp : eib::micRamp;
-    eibs_[f.srcChip]->transfer(rampOf(f.req.speIndex), to, f.req.bytes,
-                               [this, h] {
-                                   if (flight(h).crossing)
-                                       partMemPutCross(h);
-                                   else
-                                       partMemPutStore(h);
-                               });
-}
-
-void
-CellSystem::partMemPutStore(std::uint32_t h)
-{
-    Flight &f = flight(h);
-    spe::Spe *s = spes_[f.req.speIndex].get();
-    std::uint8_t buf[spe::lineBytes];
-    s->ls().read(f.req.lsa, buf, f.req.bytes);
-    if (f.req.corrupt)
-        buf[0] ^= 0xA5;
-    memory_->store().write(f.req.ea, buf, f.req.bytes);
-    EffAddr ea = f.req.ea;
-    std::uint32_t bytes = f.req.bytes;
-    unsigned bank = f.bank;
-    auto done = std::move(f.req.done);
-    releaseFlight(h);
-    memory_->bank(bank).access(ea, bytes, true, std::move(done));
-}
-
-void
-CellSystem::partMemPutCross(std::uint32_t h)
+CellSystem::memPutCross(std::uint32_t h)
 {
     Flight &f = flight(h);
     std::uint8_t buf[spe::lineBytes];
@@ -665,16 +471,16 @@ CellSystem::partMemPutCross(std::uint32_t h)
             memory_->store().write(ea, buf, bytes);
             eibs_[far]->transfer(eib::ioif0Ramp, eib::micRamp, bytes,
                                  [this, ea, bytes, h, home, far] {
-                                     partMemPutFarRide(ea, bytes, h,
-                                                       home, far);
+                                     memPutFarRide(ea, bytes, h, home,
+                                                   far);
                                  });
         });
 }
 
 void
-CellSystem::partMemPutFarRide(EffAddr ea, std::uint32_t bytes,
-                              std::uint32_t h, unsigned homeChip,
-                              unsigned farChip)
+CellSystem::memPutFarRide(EffAddr ea, std::uint32_t bytes,
+                          std::uint32_t h, unsigned homeChip,
+                          unsigned farChip)
 {
     Tick completion =
         memory_->bank(farChip).reserveAccess(ea, bytes, true);
@@ -687,14 +493,14 @@ CellSystem::partMemPutFarRide(EffAddr ea, std::uint32_t bytes,
 }
 
 /**
- * LS-to-LS routing, partitioned.  Same-chip transfers stay on their
+ * LS-to-LS routing.  Same-chip transfers stay on their
  * chip's queue.  Cross-chip GETs start on the data-holding chip (the
  * command crosses first); cross-chip PUTs read locally, cross with the
  * payload, and land through a temporary flight slot in the destination
  * chip's arena.
  */
 void
-CellSystem::partLocalStore(spe::LineRequest &&req)
+CellSystem::routeLocalStore(spe::LineRequest &&req)
 {
     EffAddr rel = req.ea - lsEaBase;
     auto target_idx = static_cast<unsigned>(rel / lsEaStride);
@@ -721,77 +527,74 @@ CellSystem::partLocalStore(spe::LineRequest &&req)
     f.srcChip = static_cast<std::uint8_t>(ic);
     f.crossing = (ic != pc);
 
-    if (!f.crossing) {
+    if (!f.crossing || !isGet) {
+        // Command latency to reach a remote MFC (GET only; PUT data
+        // originates locally).
         Tick cmd =
             isGet ? cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) : 0;
-        queue(ic).schedule(cmd, [this, h] { partLsRead(h); });
-    } else if (isGet) {
-        // The command crosses to the data-holding chip; everything the
-        // far side needs travels by value.
-        Tick cmd = cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) +
-                   memory_->links().pathLatency(ic, pc);
-        std::uint16_t peer = f.srcSpe;
-        LsAddr peerLsa = f.srcLsa;
-        engine_->post(ic, pc, queue(ic).now() + cmd,
-                      sim::PartitionedEngine::ChannelFn(
-                          [this, peer, peerLsa, bytes, h, ic, pc] {
-                              Tick read_done =
-                                  spes_[peer]->ls().reservePort(bytes);
-                              queue(pc).scheduleAt(
-                                  read_done,
-                                  [this, peer, peerLsa, bytes, h, ic] {
-                                      partLsGetFarRideFrom(peer, peerLsa,
-                                                           bytes, h, ic);
-                                  });
-                          }));
-    } else {
-        queue(ic).schedule(0, [this, h] { partLsRead(h); });
+        queue(ic).schedule(cmd, [this, h] { lsRead(h); });
+        return;
     }
+    // A crossing GET's command crosses to the data-holding chip;
+    // everything the far side needs travels by value.
+    Tick cmd = cfg_.clock.busCycles(cfg_.remoteCmdLatencyBus) +
+               memory_->links().pathLatency(ic, pc);
+    std::uint16_t peer = f.srcSpe;
+    LsAddr peerLsa = f.srcLsa;
+    engine_->post(ic, pc, queue(ic).now() + cmd,
+                  sim::PartitionedEngine::ChannelFn(
+                      [this, peer, peerLsa, bytes, h, ic, pc] {
+                          Tick read_done =
+                              spes_[peer]->ls().reservePort(bytes);
+                          queue(pc).scheduleAt(
+                              read_done,
+                              [this, peer, peerLsa, bytes, h, ic] {
+                                  lsGetFarRideFrom(peer, peerLsa, bytes,
+                                                   h, ic);
+                              });
+                      }));
 }
 
 void
-CellSystem::partLsRead(std::uint32_t h)
+CellSystem::lsRead(std::uint32_t h)
 {
     Flight &f = flight(h);
     Tick read_done = spes_[f.srcSpe]->ls().reservePort(f.req.bytes);
-    queue(f.srcChip).scheduleAt(read_done,
-                                [this, h] { partLsRide(h); });
+    queue(f.srcChip).scheduleAt(read_done, [this, h] { lsRide(h); });
 }
 
 void
-CellSystem::partLsRide(std::uint32_t h)
+CellSystem::lsRide(std::uint32_t h)
 {
     Flight &f = flight(h);
     if (!f.crossing) {
         eibs_[f.srcChip]->transfer(rampOf(f.srcSpe), rampOf(f.dstSpe),
                                    f.req.bytes,
-                                   [this, h] { partLsLand(h); });
+                                   [this, h] { lsLand(h); });
         return;
     }
     // Crossing PUT: the local read is done, ride to the IOIF ramp.
     eibs_[f.srcChip]->transfer(rampOf(f.srcSpe), eib::ioif0Ramp,
                                f.req.bytes,
-                               [this, h] { partLsPutCross(h); });
+                               [this, h] { lsPutCross(h); });
 }
 
 void
-CellSystem::partLsLand(std::uint32_t h)
+CellSystem::lsLand(std::uint32_t h)
 {
     Flight &f = flight(h);
     spe::Spe *dst = spes_[f.dstSpe].get();
     Tick done_at = dst->ls().reservePort(f.req.bytes);
-    if (f.crossing) {
-        // Crossing GET: the line came home in the payload buffer.
-        if (f.req.corrupt)
-            f.payload[0] ^= 0xA5;
-        dst->ls().write(f.dstLsa, f.payload, f.req.bytes);
-    } else {
-        std::uint8_t buf[spe::lineBytes];
+    std::uint8_t buf[spe::lineBytes];
+    // A crossing GET's line came home in the flight's payload.
+    std::uint8_t *data = f.payload;
+    if (!f.crossing) {
         spes_[f.srcSpe]->ls().read(f.srcLsa, buf, f.req.bytes);
-        if (f.req.corrupt)
-            buf[0] ^= 0xA5;
-        dst->ls().write(f.dstLsa, buf, f.req.bytes);
+        data = buf;
     }
+    if (f.req.corrupt)
+        data[0] ^= 0xA5;
+    dst->ls().write(f.dstLsa, data, f.req.bytes);
     unsigned chip = f.srcChip;
     auto done = std::move(f.req.done);
     releaseFlight(h);
@@ -799,9 +602,9 @@ CellSystem::partLsLand(std::uint32_t h)
 }
 
 void
-CellSystem::partLsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
-                                 std::uint32_t bytes, std::uint32_t h,
-                                 unsigned homeChip)
+CellSystem::lsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
+                             std::uint32_t bytes, std::uint32_t h,
+                             unsigned homeChip)
 {
     // chipOf only reads the placement table, which is immutable once
     // the system is built, so the far partition may call it.
@@ -818,22 +621,22 @@ CellSystem::partLsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
                                           Flight &f = flight(h);
                                           std::memcpy(f.payload, buf,
                                                       bytes);
-                                          partLsGetHome(h);
+                                          lsGetHome(h);
                                       });
         });
 }
 
 void
-CellSystem::partLsGetHome(std::uint32_t h)
+CellSystem::lsGetHome(std::uint32_t h)
 {
     Flight &f = flight(h);
     eibs_[f.srcChip]->transfer(eib::ioif0Ramp, rampOf(f.dstSpe),
                                f.req.bytes,
-                               [this, h] { partLsLand(h); });
+                               [this, h] { lsLand(h); });
 }
 
 void
-CellSystem::partLsPutCross(std::uint32_t h)
+CellSystem::lsPutCross(std::uint32_t h)
 {
     Flight &f = flight(h);
     std::uint8_t buf[spe::lineBytes];
@@ -860,13 +663,13 @@ CellSystem::partLsPutCross(std::uint32_t h)
             std::memcpy(t.payload, buf, bytes);
             eibs_[dc]->transfer(
                 eib::ioif0Ramp, rampOf(dstSpe), bytes,
-                [this, h2, h, home] { partLsPutFarLand(h2, h, home); });
+                [this, h2, h, home] { lsPutFarLand(h2, h, home); });
         });
 }
 
 void
-CellSystem::partLsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
-                             unsigned homeChip)
+CellSystem::lsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
+                         unsigned homeChip)
 {
     Flight &t = flight(tempH);
     unsigned dc = tempH >> kChipShift;
@@ -980,12 +783,8 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
                 total[i].selfNs += p[i].selfNs;
             }
         };
-        if (engine_) {
-            for (unsigned p = 0; p < engine_->partitions(); ++p)
-                fold(engine_->queue(p));
-        } else {
-            fold(*eq_);
-        }
+        for (unsigned p = 0; p < engine_->partitions(); ++p)
+            fold(engine_->queue(p));
         for (std::size_t i = 0; i < total.size(); ++i) {
             if (!total[i].events)
                 continue;
@@ -997,7 +796,7 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
                                      sim::toString(tag)))
                 .add(total[i].selfNs);
         }
-        if (engine_) {
+        if (cfg_.numChips > 1) {
             reg.counter("profile.crossings.delivered")
                 .add(engine_->messagesDelivered());
         }

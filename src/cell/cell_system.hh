@@ -10,15 +10,18 @@
  * everything 10 times over different mappings; our affinity policies
  * beyond Random are the extension the paper asks libspe for).
  *
- * Execution engines.  A single-chip system runs on one event queue.
- * With numChips >= 2 each chip becomes a partition of a conservative
- * partitioned engine (sim::PartitionedEngine): chip-local routing stays
- * on the chip's own queue, and anything that crosses a link (the
- * on-blade IOIF or an inter-blade link — see mem::LinkGraph) travels as
- * a cross-partition message delivered at least one crossing latency
- * later; multi-hop routes re-enter the router at each intermediate
- * chip.  The engine runs its windows serially in a fixed order, so the
- * partitioned schedule — and every report — is deterministic.
+ * Execution engine.  Every chip is a partition of a conservative
+ * partitioned engine (sim::PartitionedEngine); a single-chip system is
+ * a one-partition engine.  Chip-local routing stays on the chip's own
+ * queue, and anything that crosses to another chip's partition (over
+ * the on-blade IOIF or an inter-blade link — see mem::LinkGraph)
+ * travels as a cross-partition message delivered at least one crossing
+ * latency later; multi-hop routes re-enter the router at each
+ * intermediate chip.  The engine runs its windows serially in a fixed
+ * order, so the partitioned schedule — and every report — is
+ * deterministic.  The single-chip blade's far XDR bank has no partition
+ * of its own: it is serviced on chip 0's queue, its lines serialize on
+ * the IOIF, and no far EIB is simulated.
  *
  * In-flight DMA lines live in a per-chip arena (Flight slots addressed
  * by index handles), so the routing stages capture {this, handle}
@@ -81,11 +84,7 @@ class CellSystem
     /** @name Component access. */
     /** @{ */
     /** Chip 0's event queue (the only queue of a single-chip system). */
-    sim::EventQueue &
-    eventQueue()
-    {
-        return engine_ ? engine_->queue(0) : *eq_;
-    }
+    sim::EventQueue &eventQueue() { return engine_->queue(0); }
     const sim::ClockSpec &clock() const { return cfg_.clock; }
     const CellConfig &config() const { return cfg_; }
     /** The seed this run was built with (workloads derive their own
@@ -97,8 +96,8 @@ class CellSystem
     ppe::Ppu &ppu() { return *ppu_; }
     mem::MemorySystem &memory() { return *memory_; }
     eib::Eib &eib(unsigned chip = 0);
-    /** The partitioned engine, or nullptr on a single-chip system. */
-    sim::PartitionedEngine *engine() { return engine_.get(); }
+    /** The partitioned engine: one partition per chip. */
+    sim::PartitionedEngine &engine() { return *engine_; }
     /** @} */
 
     /** Allocate main memory with the config's NUMA policy. */
@@ -165,11 +164,7 @@ class CellSystem
     const VerifyStats &verifyStats() const { return verifyStats_; }
     /** @} */
 
-    Tick
-    now() const
-    {
-        return engine_ ? engine_->lastDispatchTick() : eq_->now();
-    }
+    Tick now() const { return engine_->lastDispatchTick(); }
 
     /** Seconds of simulated time elapsed since construction. */
     double seconds() const { return cfg_.clock.seconds(now()); }
@@ -263,67 +258,52 @@ class CellSystem
         arenas_[h >> kChipShift].release(h & ((1u << kChipShift) - 1));
     }
 
-    sim::EventQueue &
-    queue(unsigned chip)
-    {
-        return engine_ ? engine_->queue(chip) : *eq_;
-    }
+    sim::EventQueue &queue(unsigned chip) { return engine_->queue(chip); }
 
     void buildPlacement(std::uint64_t seed);
     void routeLine(spe::LineRequest &&req);
 
-    /** @name Single-queue routing stages (numChips == 1). */
+    /** @name Routing stages.  Far-side stages carry {home, far} chip
+     *        indices by value: the far partition must not read the
+     *        home chip's arena, whose state may sit at a different tick
+     *        within a window. */
     /** @{ */
     void routeMemory(spe::LineRequest &&req);
     void routeLocalStore(spe::LineRequest &&req);
     void memGetAccess(std::uint32_t h);
-    void memGetData(std::uint32_t h);
-    void memGetDeliver(std::uint32_t h);
+    void memGetRide(std::uint32_t h);
     void memGetLand(std::uint32_t h);
     void memPutRide(std::uint32_t h);
     void memPutStore(std::uint32_t h);
     void memPutBank(std::uint32_t h);
+    void memGetFar(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
+                   unsigned homeChip, unsigned farChip);
+    void memGetFarRide(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
+                       unsigned homeChip, unsigned farChip);
+    void memGetFarCross(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
+                        unsigned homeChip, unsigned farChip);
+    void memPutCross(std::uint32_t h);
+    void memPutFarRide(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
+                       unsigned homeChip, unsigned farChip);
     void lsRead(std::uint32_t h);
     void lsRide(std::uint32_t h);
     void lsLand(std::uint32_t h);
-    /** @} */
-
-    /** @name Partitioned routing stages (numChips >= 2).  Far-side
-     *        stages carry {home, far} chip indices by value: the far
-     *        partition must not read the home chip's arena, whose
-     *        state may sit at a different tick within a window. */
-    /** @{ */
-    void partMemory(spe::LineRequest &&req);
-    void partLocalStore(spe::LineRequest &&req);
-    void partMemGetAccess(std::uint32_t h);
-    void partMemGetRide(std::uint32_t h);
-    void partMemGetLand(std::uint32_t h);
-    void partMemPutRide(std::uint32_t h);
-    void partMemPutStore(std::uint32_t h);
-    void partMemGetFar(EffAddr ea, std::uint32_t bytes, std::uint32_t h,
-                       unsigned homeChip, unsigned farChip);
-    void partMemGetFarRide(EffAddr ea, std::uint32_t bytes,
-                           std::uint32_t h, unsigned homeChip,
-                           unsigned farChip);
-    void partMemGetFarCross(EffAddr ea, std::uint32_t bytes,
-                            std::uint32_t h, unsigned homeChip,
-                            unsigned farChip);
-    void partMemGetHome(std::uint32_t h);
-    void partMemPutCross(std::uint32_t h);
-    void partMemPutFarRide(EffAddr ea, std::uint32_t bytes,
-                           std::uint32_t h, unsigned homeChip,
-                           unsigned farChip);
-    void partLsRead(std::uint32_t h);
-    void partLsRide(std::uint32_t h);
-    void partLsLand(std::uint32_t h);
-    void partLsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
-                              std::uint32_t bytes, std::uint32_t h,
-                              unsigned homeChip);
-    void partLsGetHome(std::uint32_t h);
-    void partLsPutCross(std::uint32_t h);
-    void partLsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
+    void lsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
+                          std::uint32_t bytes, std::uint32_t h,
                           unsigned homeChip);
+    void lsGetHome(std::uint32_t h);
+    void lsPutCross(std::uint32_t h);
+    void lsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
+                      unsigned homeChip);
     void finishFlight(std::uint32_t h);
+
+    /** True iff @p f's target bank sits on another chip's partition
+     *  (false for the single-chip blade's far bank, which has none). */
+    bool
+    farPartition(const Flight &f) const
+    {
+        return f.crossing && f.bank < cfg_.numChips;
+    }
     /** @} */
 
     void verifyCompletion(const spe::Mfc::Completion &done);
@@ -331,8 +311,7 @@ class CellSystem
 
     CellConfig cfg_;
     std::uint64_t placementSeed_ = 0;
-    std::unique_ptr<sim::EventQueue> eq_;            ///< numChips == 1
-    std::unique_ptr<sim::PartitionedEngine> engine_; ///< numChips >= 2
+    std::unique_ptr<sim::PartitionedEngine> engine_; ///< one partition per chip
     std::unique_ptr<mem::MemorySystem> memory_;
     std::vector<std::unique_ptr<eib::Eib>> eibs_;
     std::unique_ptr<ppe::Ppu> ppu_;

@@ -260,10 +260,8 @@ parseColumnTols(const std::string &spec,
         }
         std::string name = entry.substr(0, eq);
         std::string pct = util::trim(entry.substr(eq + 1));
-        const char *begin = pct.c_str();
-        char *end = nullptr;
-        double v = std::strtod(begin, &end);
-        if (pct.empty() || end != begin + pct.size() || v < 0) {
+        double v = 0.0;
+        if (!util::parseDouble(pct, v) || v < 0) {
             err = "bad tolerance value in '" + entry + "'";
             return false;
         }

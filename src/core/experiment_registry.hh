@@ -6,8 +6,7 @@
  * backend).  Bench translation units register themselves with
  * CELLBW_REGISTER_EXPERIMENT at static-initialization time; the
  * `cellbw` driver then lists, runs, schedules, caches, and compares
- * them uniformly, and each legacy per-figure binary is a one-line shim
- * over runExperimentCli() with its experiment's name baked in.
+ * them uniformly: `cellbw run <name>` goes through runExperimentCli().
  *
  * The backend is the fifth, optional registration argument and
  * defaults to Backend::Sim, so sim experiments register exactly as

@@ -16,12 +16,8 @@ namespace
 bool
 parseNumber(const std::string &s, double &out)
 {
-    if (s.empty())
-        return false;
-    const char *begin = s.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end != begin + s.size())
+    double v = 0.0;
+    if (s.empty() || util::parseDoublePrefix(s, v) != s.size())
         return false;
     out = v;
     return v == v && v <= 1.7976931348623157e308 &&
@@ -126,9 +122,12 @@ JsonReport::render() const
           case Options::OptionInfo::Type::Uint:
             w.value(util::parseUint64(o.text));
             break;
-          case Options::OptionInfo::Type::Double:
-            w.value(std::strtod(o.text.c_str(), nullptr));
+          case Options::OptionInfo::Type::Double: {
+            double v = 0.0;
+            util::parseDouble(o.text, v);
+            w.value(v);
             break;
+          }
           case Options::OptionInfo::Type::Bool: {
             std::string v = util::toLower(o.text);
             w.value(v == "true" || v == "1" || v == "yes");

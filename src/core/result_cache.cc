@@ -18,22 +18,17 @@ namespace
 
 /**
  * Canonical, locale-independent rendering of a Double option value.
- * std::strtod/printf follow LC_NUMERIC — under a comma-decimal locale
- * "2.1" parses as 2 and 2.1 renders as "2,1", so the same config
- * hashed to a different key depending on the host locale.
- * std::from_chars/std::to_chars always use the C grammar.
+ * The C library's number parsing and printf follow LC_NUMERIC — under
+ * a comma-decimal locale "2.1" parses as 2 and 2.1 renders as "2,1",
+ * so the same config hashed to a different key depending on the host
+ * locale.  util::parseDouble and std::to_chars always use the C
+ * grammar.
  */
 std::string
 canonicalDouble(const std::string &text)
 {
     double v = 0.0;
-    const char *first = text.data();
-    const char *last = first + text.size();
-    // Skip leading whitespace the way the option parser tolerates it;
-    // from_chars does not.
-    while (first != last && (*first == ' ' || *first == '\t'))
-        ++first;
-    std::from_chars(first, last, v);
+    util::parseDouble(text, v);
     char buf[64];
     auto res = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::general, 17);

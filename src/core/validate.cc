@@ -73,12 +73,11 @@ numericValue(const util::JsonValue &v, double &out)
         out = std::numeric_limits<double>::infinity();
         return true;
     }
-    const char *begin = s.c_str();
-    char *end = nullptr;
-    double num = std::strtod(begin, &end);
-    if (end == begin)
+    double num = 0.0;
+    const std::size_t used = util::parseDoublePrefix(s, num);
+    if (used == 0)
         return false;
-    std::string suffix(end);
+    std::string suffix = s.substr(used);
     double scale = 0.0;
     if (suffix.empty() || suffix == "B")
         scale = 1.0;

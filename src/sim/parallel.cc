@@ -12,7 +12,7 @@ PartitionedEngine::PartitionedEngine(unsigned partitions, Tick lookahead)
 {
     if (n_ == 0)
         fatal("partitioned engine needs at least one partition");
-    if (lookahead_ == 0)
+    if (lookahead_ == 0 && n_ > 1)
         fatal("partitioned engine needs a positive lookahead");
     queues_.reserve(n_);
     for (unsigned p = 0; p < n_; ++p)
@@ -29,6 +29,8 @@ PartitionedEngine::post(unsigned src, unsigned dst, Tick when,
 {
     if (src >= n_ || dst >= n_)
         panic("post between unknown partitions %u -> %u", src, dst);
+    if (src == dst)
+        panic("post from partition %u to itself", src);
     Tick src_now = queues_[src]->now();
     if (when < src_now + lookahead_) {
         panic("cross-partition post at tick %llu from partition %u "
@@ -103,6 +105,10 @@ PartitionedEngine::deliverDue(Tick horizon)
 std::uint64_t
 PartitionedEngine::run()
 {
+    // No peer can post to a lone partition: drain it directly, which
+    // also leaves now() at the last event instead of a window's end.
+    if (n_ == 1)
+        return queues_[0]->run();
     std::uint64_t events = 0;
     for (;;) {
         Tick tmin = nextTick();

@@ -21,6 +21,10 @@
  * engine runs them on the calling thread: synchronizing worker threads
  * twice per window would cost more than the events themselves.
  *
+ * A single-chip system is a one-partition engine.  With no peer to
+ * post to it, run() drains that partition's queue directly rather than
+ * window by window, and the lookahead goes unused (it may be zero).
+ *
  * The safety rule post() enforces: a message created by an event
  * executing at tick t must be delivered no earlier than t + L.  Since
  * every event in a window executes at t >= tmin, a compliant message
@@ -63,16 +67,17 @@ class PartitionedEngine
     const EventQueue &queue(unsigned p) const { return *queues_[p]; }
 
     /**
-     * Send @p fn from partition @p src to partition @p dst, to run at
-     * tick @p when.  Must be called from @p src's execution context
-     * (its queue's current event); panics if @p when violates the
-     * lookahead safety rule.
+     * Send @p fn from partition @p src to another partition @p dst, to
+     * run at tick @p when.  Must be called from @p src's execution
+     * context (its queue's current event); panics if @p when violates
+     * the lookahead safety rule.
      */
     void post(unsigned src, unsigned dst, Tick when, ChannelFn fn);
 
     /**
-     * Run every partition, window by window, until no events or
-     * undelivered messages remain.
+     * Run every partition, window by window (or a lone partition
+     * straight through), until no events or undelivered messages
+     * remain.
      * @return total events processed across all partitions.
      */
     std::uint64_t run();

@@ -225,7 +225,7 @@ JsonWriter::number(double d)
     }
     // Shortest representation that round-trips: try increasing
     // precision until the parse matches.  to_chars/from_chars, not
-    // %g/strtod: those follow LC_NUMERIC, and a comma-decimal locale
+    // printf/scanf: those follow LC_NUMERIC, and a comma-decimal locale
     // would turn every non-integral number into invalid JSON.
     // to_chars(general, prec) is defined as C-locale "%.*g", so the
     // bytes are unchanged where it mattered before.

@@ -1,8 +1,6 @@
 #include "util/json.hh"
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/strings.hh"
@@ -50,14 +48,6 @@ JsonValue::object() const
     return obj_;
 }
 
-const std::string &
-JsonValue::numberToken() const
-{
-    if (kind_ != Kind::Number)
-        throw std::logic_error("JsonValue: not a number");
-    return str_;
-}
-
 namespace
 {
 
@@ -98,193 +88,7 @@ validNumberToken(const std::string &tok)
     return i == n;
 }
 
-/** Shortest round-trip token for @p d (mirrors the writer's policy). */
-std::string
-numberTokenFor(double d)
-{
-    if (d != d || d > 1.7976931348623157e308 ||
-        d < -1.7976931348623157e308) {
-        // JSON has no NaN/Inf; mirror the writer and store null-ish 0.
-        return "0";
-    }
-    double intPart = 0.0;
-    if (std::modf(d, &intPart) == 0.0 && d >= -9007199254740992.0 &&
-        d <= 9007199254740992.0) {
-        return format("%lld", static_cast<long long>(d));
-    }
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::string s = format("%.*g", prec, d);
-        if (std::strtod(s.c_str(), nullptr) == d)
-            return s;
-    }
-    return format("%.17g", d);
-}
-
-void
-escapeInto(const std::string &s, std::string &out)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-}
-
-void
-dumpInto(const JsonValue &v, std::string &out)
-{
-    switch (v.kind()) {
-      case JsonValue::Kind::Null:
-        out += "null";
-        return;
-      case JsonValue::Kind::Bool:
-        out += v.boolean() ? "true" : "false";
-        return;
-      case JsonValue::Kind::Number:
-        out += v.numberToken();
-        return;
-      case JsonValue::Kind::String:
-        out += '"';
-        escapeInto(v.str(), out);
-        out += '"';
-        return;
-      case JsonValue::Kind::Array: {
-        out += '[';
-        bool first = true;
-        for (const auto &e : v.array()) {
-            if (!first)
-                out += ',';
-            first = false;
-            dumpInto(e, out);
-        }
-        out += ']';
-        return;
-      }
-      case JsonValue::Kind::Object: {
-        out += '{';
-        bool first = true;
-        for (const auto &m : v.object()) {
-            if (!first)
-                out += ',';
-            first = false;
-            out += '"';
-            escapeInto(m.first, out);
-            out += "\":";
-            dumpInto(m.second, out);
-        }
-        out += '}';
-        return;
-      }
-    }
-}
-
 } // namespace
-
-std::string
-JsonValue::dump() const
-{
-    std::string out;
-    dumpInto(*this, out);
-    return out;
-}
-
-bool
-JsonValue::operator==(const JsonValue &rhs) const
-{
-    if (kind_ != rhs.kind_)
-        return false;
-    switch (kind_) {
-      case Kind::Null:
-        return true;
-      case Kind::Bool:
-        return bool_ == rhs.bool_;
-      case Kind::Number:
-        return str_ == rhs.str_;
-      case Kind::String:
-        return str_ == rhs.str_;
-      case Kind::Array:
-        return arr_ == rhs.arr_;
-      case Kind::Object:
-        return obj_ == rhs.obj_;
-    }
-    return false;
-}
-
-JsonValue
-JsonValue::makeNull()
-{
-    return JsonValue();
-}
-
-JsonValue
-JsonValue::makeBool(bool b)
-{
-    JsonValue v;
-    v.kind_ = Kind::Bool;
-    v.bool_ = b;
-    return v;
-}
-
-JsonValue
-JsonValue::makeNumber(double d)
-{
-    JsonValue v;
-    v.kind_ = Kind::Number;
-    v.str_ = numberTokenFor(d);
-    v.num_ = std::strtod(v.str_.c_str(), nullptr);
-    return v;
-}
-
-JsonValue
-JsonValue::makeRawNumber(std::string token)
-{
-    if (!validNumberToken(token))
-        throw std::invalid_argument("JsonValue: bad number token '" +
-                                    token + "'");
-    JsonValue v;
-    v.kind_ = Kind::Number;
-    v.num_ = std::strtod(token.c_str(), nullptr);
-    v.str_ = std::move(token);
-    return v;
-}
-
-JsonValue
-JsonValue::makeString(std::string s)
-{
-    JsonValue v;
-    v.kind_ = Kind::String;
-    v.str_ = std::move(s);
-    return v;
-}
-
-JsonValue
-JsonValue::makeArray(std::vector<JsonValue> elems)
-{
-    JsonValue v;
-    v.kind_ = Kind::Array;
-    v.arr_ = std::move(elems);
-    return v;
-}
-
-JsonValue
-JsonValue::makeObject(std::vector<Member> members)
-{
-    JsonValue v;
-    v.kind_ = Kind::Object;
-    v.obj_ = std::move(members);
-    return v;
-}
 
 const JsonValue *
 JsonValue::find(const std::string &key) const
@@ -557,17 +361,18 @@ class JsonParser
         }
         if (pos_ == start)
             fail("expected a value");
-        std::string tok = text_.substr(start, pos_ - start);
-        // Strict JSON grammar: rejects what strtod would take
-        // ("+1", "01", "1.", hex) and guarantees the token is a
-        // faithful dump()-able representation.
+        const std::string tok = text_.substr(start, pos_ - start);
+        // Strict JSON grammar: rejects what a C-library parse would
+        // take ("+1", "01", "1.", hex).
         if (!validNumberToken(tok)) {
             pos_ = start;
             fail("malformed number");
         }
+        if (!parseDouble(tok, out.num_)) {
+            pos_ = start;
+            fail("number out of range");
+        }
         out.kind_ = JsonValue::Kind::Number;
-        out.num_ = std::strtod(tok.c_str(), nullptr);
-        out.str_ = std::move(tok);
     }
 
     const std::string &text_;

@@ -7,12 +7,11 @@
  * stored entries.  Both need to *read* the JSON that
  * stats::JsonWriter produces, without an external dependency.
  *
- * JsonValue is an immutable tree.  Object members preserve insertion
- * order (the writer emits deterministic documents; keeping the order
- * makes diffs and error messages deterministic too).  Numbers keep
- * their source token alongside the double, so values outside double's
- * 53-bit integer range (e.g. big uint64 metrics) survive a
- * parse()/dump() round trip byte-exactly.  Nesting depth is capped at
+ * JsonValue is an immutable tree; stats::JsonWriter is the one
+ * emitter.  Object members preserve insertion order (the writer emits
+ * deterministic documents; keeping the order makes diffs and error
+ * messages deterministic too).  Numbers follow the strict JSON grammar
+ * and are read locale-independently.  Nesting depth is capped at
  * kMaxDepth: a hostile or corrupt deeply-nested document is a parse
  * error, not a stack overflow.
  *
@@ -28,8 +27,6 @@
 #ifndef CELLBW_UTIL_JSON_HH
 #define CELLBW_UTIL_JSON_HH
 
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,12 +63,6 @@ class JsonValue
     const std::vector<Member> &object() const;
     /** @} */
 
-    /**
-     * The number's source token ("1e-3", "18446744073709551615"), the
-     * lossless form of number().
-     */
-    const std::string &numberToken() const;
-
     /** Object member lookup; nullptr when absent or not an object. */
     const JsonValue *find(const std::string &key) const;
 
@@ -82,35 +73,6 @@ class JsonValue
     std::string strOr(const std::string &key,
                       const std::string &def) const;
     bool boolOr(const std::string &key, bool def) const;
-    /** @} */
-
-    /**
-     * Serialize back to compact JSON.  Numbers emit their token
-     * verbatim, so parse(dump(v)) == v for any parsed or built value.
-     */
-    std::string dump() const;
-
-    /**
-     * Deep structural equality.  Numbers compare by token (the
-     * lossless representation), everything else by value; object
-     * member order matters, as it does to dump().
-     */
-    bool operator==(const JsonValue &rhs) const;
-    bool operator!=(const JsonValue &rhs) const { return !(*this == rhs); }
-
-    /** @name Builders, for tests and generated documents. */
-    /** @{ */
-    static JsonValue makeNull();
-    static JsonValue makeBool(bool b);
-    static JsonValue makeNumber(double d);
-    /**
-     * @p token must be a valid JSON number; throws
-     * std::invalid_argument otherwise.
-     */
-    static JsonValue makeRawNumber(std::string token);
-    static JsonValue makeString(std::string s);
-    static JsonValue makeArray(std::vector<JsonValue> elems);
-    static JsonValue makeObject(std::vector<Member> members);
     /** @} */
 
     /**

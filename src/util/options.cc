@@ -88,15 +88,8 @@ Options::assign(const std::string &name, const std::string &value)
             (void)parseUint64(value);
             break;
           case Kind::Double: {
-            // from_chars, not stod: stod follows LC_NUMERIC, and a
-            // comma-decimal locale would reject "2.1" as trailing
-            // garbage (and accept "2,1", which nothing else parses).
-            std::string v = trim(value);
             double parsed = 0.0;
-            auto res = std::from_chars(v.data(), v.data() + v.size(),
-                                       parsed);
-            if (res.ec != std::errc() ||
-                res.ptr != v.data() + v.size())
+            if (!parseDouble(value, parsed))
                 throw std::invalid_argument("bad double");
             break;
           }
@@ -200,12 +193,10 @@ Options::getUint(const std::string &name) const
 double
 Options::getDouble(const std::string &name) const
 {
-    // from_chars, not stod: under a comma-decimal LC_NUMERIC stod
-    // reads "2.1" as 2 — the simulated machine would silently change
-    // with the host locale.
-    const std::string v = trim(find(name, Kind::Double).value);
+    // Locale-independent: under a comma-decimal LC_NUMERIC, stod
+    // would read "2.1" as 2 and silently change the simulated machine.
     double parsed = 0.0;
-    std::from_chars(v.data(), v.data() + v.size(), parsed);
+    parseDouble(find(name, Kind::Double).value, parsed);
     return parsed;
 }
 

@@ -1,6 +1,7 @@
 #include "util/strings.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
@@ -117,6 +118,31 @@ parseByteSize(const std::string &raw)
     if (mult > 1 && v > std::numeric_limits<std::uint64_t>::max() / mult)
         throw std::out_of_range("byte size overflows 64 bits: " + raw);
     return v * mult;
+}
+
+std::size_t
+parseDoublePrefix(const std::string &s, double &out)
+{
+    std::size_t b = 0;
+    while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b])))
+        ++b;
+    double v = 0.0;
+    auto res = std::from_chars(s.data() + b, s.data() + s.size(), v);
+    if (res.ec != std::errc())
+        return 0;
+    out = v;
+    return static_cast<std::size_t>(res.ptr - s.data());
+}
+
+bool
+parseDouble(const std::string &s, double &out)
+{
+    const std::string t = trim(s);
+    double v = 0.0;
+    if (t.empty() || parseDoublePrefix(t, v) != t.size())
+        return false;
+    out = v;
+    return true;
 }
 
 } // namespace cellbw::util

@@ -46,6 +46,20 @@ std::uint64_t parseUint64(const std::string &s);
  */
 std::uint64_t parseByteSize(const std::string &s);
 
+/**
+ * Locale-independent double parse.  std::from_chars always reads the
+ * C grammar, whereas the C library's parsers follow LC_NUMERIC: under
+ * a comma-decimal locale they read "9.87" as 9.  Leading whitespace is
+ * skipped; a '+' sign, hex, and magnitudes outside double's range are
+ * rejected.  @return the characters consumed (whitespace included), or
+ * 0 when @p s does not start with a number.
+ */
+std::size_t parseDoublePrefix(const std::string &s, double &out);
+
+/** parseDoublePrefix() over all of @p s: false unless only whitespace
+ *  surrounds the number. */
+bool parseDouble(const std::string &s, double &out);
+
 } // namespace cellbw::util
 
 #endif // CELLBW_UTIL_STRINGS_HH

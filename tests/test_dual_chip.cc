@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/experiments.hh"
 #include "test_util.hh"
 
@@ -31,7 +34,60 @@ pairBandwidth(cell::CellSystem &sys)
     return core::runSpeSpe(sys, sc);
 }
 
+/** GB/s and simulated ticks of one run. */
+struct Outcome
+{
+    double gbps;
+    Tick ticks;
+};
+
+/**
+ * Run @p body on a system of @p chips chips with every page on bank 0
+ * and linear placement, so chip 0's SPEs never cross the blade.
+ */
+Outcome
+chipLocalRun(unsigned chips,
+             const std::function<double(cell::CellSystem &)> &body)
+{
+    cell::CellConfig cfg;
+    cfg.numChips = chips;
+    cfg.affinity = cell::AffinityPolicy::Linear;
+    cfg.numa = mem::NumaPolicy::local();
+    cell::CellSystem sys(cfg, 7);
+    double gbps = body(sys);
+    return {gbps, sys.now()};
+}
+
 } // namespace
+
+TEST(DualChip, ChipLocalRunsMatchOneChip)
+{
+    // Differential gate on the shared routing stages: chip-local
+    // traffic on a two-chip system runs exactly as on a single chip.
+    std::vector<std::function<double(cell::CellSystem &)>> bodies;
+    for (auto op : {core::DmaOp::Get, core::DmaOp::Put}) {
+        bodies.push_back([op](cell::CellSystem &sys) {
+            core::SpeMemConfig mc;
+            mc.numSpes = 4;
+            mc.op = op;
+            mc.bytesPerSpe = 256 * util::KiB;
+            return core::runSpeMem(sys, mc);
+        });
+    }
+    bodies.push_back([](cell::CellSystem &sys) {
+        core::SpeSpeConfig sc;
+        sc.numSpes = 4;
+        sc.bytesPerStream = 256 * util::KiB;
+        return core::runSpeSpe(sys, sc);
+    });
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+        Outcome one = chipLocalRun(1, bodies[i]);
+        Outcome two = chipLocalRun(2, bodies[i]);
+        ASSERT_GT(one.gbps, 0.0) << "body " << i;
+        EXPECT_EQ(one.gbps, two.gbps) << "body " << i;
+        EXPECT_EQ(one.ticks, two.ticks) << "body " << i;
+    }
+}
 
 TEST(DualChip, SixteenSpesComeUp)
 {

@@ -1,5 +1,6 @@
-/** @file Round-trip property tests for util/json plus the committed
- *        corpus of edge-case inputs in tests/json_corpus/. */
+/** @file Round-trip property tests for the production JSON pair
+ *        (stats::JsonWriter -> util::JsonValue::parse) plus the
+ *        committed corpus of edge-case inputs in tests/json_corpus/. */
 
 #include <gtest/gtest.h>
 
@@ -18,9 +19,9 @@ using util::JsonValue;
 namespace
 {
 
-/** Deterministic random document generator. */
-JsonValue
-genValue(std::mt19937 &rng, int depth)
+/** Deterministic random document, written straight to @p w. */
+void
+genValue(std::mt19937 &rng, int depth, stats::JsonWriter &w)
 {
     auto pick = [&](int n) {
         return static_cast<int>(rng() % static_cast<unsigned>(n));
@@ -29,27 +30,23 @@ genValue(std::mt19937 &rng, int depth)
     const int kind = pick(depth > 4 ? 5 : 7);
     switch (kind) {
       case 0:
-        return JsonValue::makeNull();
+        w.null();
+        return;
       case 1:
-        return JsonValue::makeBool(pick(2) == 0);
-      case 2: {
-        switch (pick(4)) {
-          case 0:
-            return JsonValue::makeNumber(
-                static_cast<double>(static_cast<std::int64_t>(rng())));
-          case 1:
-            return JsonValue::makeNumber(
-                static_cast<double>(rng()) / 977.0 -
-                static_cast<double>(rng()) / 331.0);
-          case 2:
-            // Big uint64 values, above double's 53-bit integers.
-            return JsonValue::makeRawNumber(
-                std::to_string(9007199254740993ull +
-                               rng() % 1000000000ull));
-          default:
-            return JsonValue::makeRawNumber("18446744073709551615");
+        w.value(pick(2) == 0);
+        return;
+      case 2:
+        // Integers within double's 53-bit range, and fractions.
+        if (pick(2) == 0) {
+            const std::uint64_t hi = rng();
+            const std::uint64_t bits = (hi << 32 | rng()) % (1ull << 53);
+            w.value(static_cast<std::int64_t>(bits) -
+                    static_cast<std::int64_t>(1ull << 52));
+        } else {
+            w.value(static_cast<double>(rng()) / 977.0 -
+                    static_cast<double>(rng()) / 331.0);
         }
-      }
+        return;
       case 3: {
         std::string s;
         const int len = pick(12);
@@ -57,29 +54,64 @@ genValue(std::mt19937 &rng, int depth)
             // Includes controls, quotes, backslashes, and high bytes.
             s += static_cast<char>(rng() % 256);
         }
-        return JsonValue::makeString(std::move(s));
+        w.value(s);
+        return;
       }
-      case 4: {
-        std::string s = "plain";
-        s += std::to_string(pick(100));
-        return JsonValue::makeString(std::move(s));
-      }
+      case 4:
+        w.value(std::string("plain").append(std::to_string(pick(100))));
+        return;
       case 5: {
-        std::vector<JsonValue> elems;
+        w.beginArray();
         const int len = pick(4);
         for (int i = 0; i < len; ++i)
-            elems.push_back(genValue(rng, depth + 1));
-        return JsonValue::makeArray(std::move(elems));
+            genValue(rng, depth + 1, w);
+        w.endArray();
+        return;
       }
       default: {
-        std::vector<JsonValue::Member> members;
+        w.beginObject();
         const int len = pick(4);
         for (int i = 0; i < len; ++i) {
-            members.emplace_back("k" + std::to_string(i),
-                                 genValue(rng, depth + 1));
+            w.key(std::string("k").append(std::to_string(i)));
+            genValue(rng, depth + 1, w);
         }
-        return JsonValue::makeObject(std::move(members));
+        w.endObject();
+        return;
       }
+    }
+}
+
+/** Re-emit a parsed tree through the production writer. */
+void
+emit(const JsonValue &v, stats::JsonWriter &w)
+{
+    switch (v.kind()) {
+      case JsonValue::Kind::Null:
+        w.null();
+        return;
+      case JsonValue::Kind::Bool:
+        w.value(v.boolean());
+        return;
+      case JsonValue::Kind::Number:
+        w.value(v.number());
+        return;
+      case JsonValue::Kind::String:
+        w.value(v.str());
+        return;
+      case JsonValue::Kind::Array:
+        w.beginArray();
+        for (const auto &e : v.array())
+            emit(e, w);
+        w.endArray();
+        return;
+      case JsonValue::Kind::Object:
+        w.beginObject();
+        for (const auto &m : v.object()) {
+            w.key(m.first);
+            emit(m.second, w);
+        }
+        w.endObject();
+        return;
     }
 }
 
@@ -97,51 +129,34 @@ nested(int depth, const std::string &leaf)
 
 } // namespace
 
-TEST(JsonRoundTrip, GeneratedDocumentsSurviveDumpParse)
+TEST(JsonRoundTrip, GeneratedDocumentsSurviveWriteParse)
 {
     std::mt19937 rng(20260806);
     for (int i = 0; i < 500; ++i) {
-        JsonValue doc = genValue(rng, 0);
-        const std::string text = doc.dump();
+        stats::JsonWriter w;
+        genValue(rng, 0, w);
+        const std::string text = w.str();
 
         JsonValue back;
         std::string err;
         ASSERT_TRUE(JsonValue::parse(text, back, err))
             << "iteration " << i << ": " << err << "\n" << text;
-        EXPECT_TRUE(back == doc) << "iteration " << i << "\n" << text;
-        // dump() is a fixed point: dumping the reparse is identical.
-        EXPECT_EQ(back.dump(), text) << "iteration " << i;
+        // Re-emitting the parsed tree reproduces the text exactly.
+        stats::JsonWriter again;
+        emit(back, again);
+        EXPECT_EQ(again.str(), text) << "iteration " << i;
     }
-}
-
-TEST(JsonRoundTrip, BigUint64TokensAreLossless)
-{
-    JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(JsonValue::parse(
-        R"({"max": 18446744073709551615, "odd": 9007199254740993})", doc,
-        err))
-        << err;
-    EXPECT_EQ(doc.find("max")->numberToken(), "18446744073709551615");
-    EXPECT_EQ(doc.find("odd")->numberToken(), "9007199254740993");
-    EXPECT_EQ(doc.dump(),
-              R"({"max":18446744073709551615,"odd":9007199254740993})");
 }
 
 TEST(JsonRoundTrip, EscapeSequencesRoundTrip)
 {
     const std::string raw = std::string("a\"b\\c\n\t\r\b\f") +
                             std::string(1, '\0') + "\x01 end";
-    JsonValue doc = JsonValue::makeString(raw);
+    stats::JsonWriter w;
+    w.value(raw);
     JsonValue back;
     std::string err;
-    ASSERT_TRUE(JsonValue::parse(doc.dump(), back, err)) << err;
-    EXPECT_EQ(back.str(), raw);
-
-    // The stats writer's escaping parses back to the same string too.
-    const std::string viaWriter =
-        "\"" + stats::JsonWriter::escape(raw) + "\"";
-    ASSERT_TRUE(JsonValue::parse(viaWriter, back, err)) << err;
+    ASSERT_TRUE(JsonValue::parse(w.str(), back, err)) << err;
     EXPECT_EQ(back.str(), raw);
 }
 
@@ -171,9 +186,6 @@ TEST(JsonRoundTrip, StrictNumberGrammar)
     EXPECT_FALSE(JsonValue::parse("--1", doc, err));
     EXPECT_TRUE(JsonValue::parse("-0.5e+10", doc, err)) << err;
     EXPECT_TRUE(JsonValue::parse("0", doc, err)) << err;
-
-    EXPECT_THROW(JsonValue::makeRawNumber("+1"), std::invalid_argument);
-    EXPECT_THROW(JsonValue::makeRawNumber("1x"), std::invalid_argument);
 }
 
 TEST(JsonRoundTrip, CommittedCorpus)
@@ -190,13 +202,6 @@ TEST(JsonRoundTrip, CommittedCorpus)
         const bool parsed = JsonValue::parse(text, doc, err);
         if (name.rfind("ok_", 0) == 0) {
             EXPECT_TRUE(parsed) << name << ": " << err;
-            if (parsed) {
-                // Every accepted corpus document must round-trip.
-                JsonValue back;
-                ASSERT_TRUE(JsonValue::parse(doc.dump(), back, err))
-                    << name << ": " << err;
-                EXPECT_TRUE(back == doc) << name;
-            }
             ++ok;
         } else if (name.rfind("bad_", 0) == 0) {
             EXPECT_FALSE(parsed) << name << " parsed unexpectedly";

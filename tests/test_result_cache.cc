@@ -13,6 +13,8 @@
 #include "core/experiment_context.hh"
 #include "core/result_cache.hh"
 #include "stats/json_writer.hh"
+#include "util/json.hh"
+#include "util/strings.hh"
 
 using namespace cellbw;
 
@@ -331,6 +333,30 @@ TEST(ResultCache, KeysAreLocaleIndependent)
     stats::JsonWriter w;
     w.value(2.5);
     EXPECT_EQ(w.str(), "2.5");
+}
+
+TEST(ResultCache, NumbersParseLocaleIndependently)
+{
+    // The regression this guards: the JSON parser, the report's option
+    // values and the compare/validate arguments went through the C
+    // library's number parser, which follows LC_NUMERIC — under a
+    // comma-decimal locale {"gbps": 9.87} read back as 9.
+    ScopedNumericLocale loc;
+    if (!loc.active())
+        GTEST_SKIP() << "no comma-decimal locale installed";
+
+    util::JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(util::JsonValue::parse("{\"gbps\": 9.87}", doc, err))
+        << err;
+    EXPECT_EQ(doc.find("gbps")->number(), 9.87);
+
+    double v = 0.0;
+    EXPECT_TRUE(util::parseDouble(" 2.5 ", v));
+    EXPECT_EQ(v, 2.5);
+    EXPECT_FALSE(util::parseDouble("2,5", v));
+    EXPECT_EQ(util::parseDoublePrefix("0.5MiB", v), 3u);
+    EXPECT_EQ(v, 0.5);
 }
 
 TEST(ResultCache, PruneSkipsEntriesItCannotStat)

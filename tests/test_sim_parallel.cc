@@ -30,6 +30,18 @@ TEST(PartitionedEngine, LocalEventsRunWithoutCrossings)
     EXPECT_EQ(eng.lastDispatchTick(), 20u);
 }
 
+TEST(PartitionedEngine, SinglePartitionRunEndsAtLastEvent)
+{
+    // A lone partition drains straight through: now() stops at the last
+    // event, not at the end of its lookahead window.
+    sim::PartitionedEngine eng(1, kLook);
+    eng.queue(0).schedule(10, [] {});
+    eng.queue(0).schedule(500, [] {});
+    EXPECT_EQ(eng.run(), 2u);
+    EXPECT_EQ(eng.queue(0).now(), 500u);
+    EXPECT_EQ(eng.lastDispatchTick(), 500u);
+}
+
 TEST(PartitionedEngine, PostDeliversAtTheRequestedTick)
 {
     sim::PartitionedEngine eng(2, kLook);
