@@ -7,10 +7,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "cell/cell_system.hh"
 #include "core/experiments.hh"
 #include "core/runner.hh"
 #include "sim/event_queue.hh"
+#include "sim/parallel.hh"
 
 using namespace cellbw;
 
@@ -143,6 +146,54 @@ BM_DualChipParallel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DualChipParallel)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/**
+ * The partitioned engine's window cost on its own: eight partitions
+ * pass tokens around a ring, one token per partition, each hop one
+ * lookahead long, so every window delivers eight messages and runs
+ * eight one-event partitions.  Reports ns per delivered message, the
+ * per-message cost the engine adds on top of the queue.  Arg = hops
+ * per token.
+ */
+void
+BM_PartitionedWindow(benchmark::State &state)
+{
+    constexpr unsigned kParts = 8;
+    constexpr Tick kLook = 84;      // one IOIF crossing at 2.1 GHz
+    const long hops = state.range(0);
+    std::uint64_t delivered = 0;
+    double ns = 0;
+    for (auto _ : state) {
+        const auto t0 = std::chrono::steady_clock::now();
+        sim::PartitionedEngine eng(kParts, kLook);
+        struct Ring
+        {
+            sim::PartitionedEngine &eng;
+            long left;
+
+            void
+            send(unsigned from)
+            {
+                const unsigned to = (from + 1) % kParts;
+                eng.post(from, to, eng.queue(from).now() + kLook,
+                         [this, to] {
+                             if (--left > 0)
+                                 send(to);
+                         });
+            }
+        } ring{eng, hops * kParts};
+        for (unsigned p = 0; p < kParts; ++p)
+            eng.queue(p).schedule(p, [&ring, p] { ring.send(p); });
+        eng.run();
+        delivered += eng.messagesDelivered();
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+    state.counters["ns_per_msg"] = ns / static_cast<double>(delivered);
+}
+BENCHMARK(BM_PartitionedWindow)->Arg(4096);
 
 void
 BM_PpeL1Stream(benchmark::State &state)

@@ -1,7 +1,6 @@
 #include "cell/cell_system.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/logging.hh"
 #include "stats/metrics.hh"
@@ -63,12 +62,12 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
         memory_->links().setPartitioned(
             [this](unsigned c) { return &queue(c); },
             [this](unsigned src, unsigned dst, Tick when,
-                   mem::IoLink::CrossingFn fn) {
+                   mem::IoLink::CrossingFn &&fn) {
                 engine_->post(src, dst, when, std::move(fn));
             });
         memory_->setPartitioned([this](unsigned src, unsigned dst,
                                        Tick when,
-                                       mem::MemorySystem::CrossFn fn) {
+                                       mem::MemorySystem::CrossFn &&fn) {
             engine_->post(src, dst, when, std::move(fn));
         });
     }
@@ -265,14 +264,15 @@ CellSystem::routeLine(spe::LineRequest &&req)
  * issuing chip's queue.
  *
  * A crossing line's far-side stages (the target chip's bank and EIB)
- * run on the far partition and must not touch the home chip's arena:
- * within a window the partitions run one after another, so the home
- * chip's state may be ahead of or behind the far stage's tick.  They
- * carry their routing state ({ea, bytes, handle, home and far chips})
- * and, on the way home, the 128-byte payload by value inside the
- * cross-partition message — the one place information moves between
- * partitions.  Multi-hop routes (other blade) serialize on every link:
- * LinkGraph::sendData re-posts from each intermediate chip's partition.
+ * run on the far partition.  They carry their routing state ({ea,
+ * bytes, handle, home and far chips}) by value inside the
+ * cross-partition messages; the 128-byte payload travels in the line's
+ * home flight slot.  The partitions never run concurrently, and while
+ * a line is away no home-chip stage touches its slot, so the far side
+ * may fill (GET) or drain (PUT) flight(h).payload directly and every
+ * crossing message stays a few words long.  Multi-hop routes (other
+ * blade) serialize on every link: LinkGraph::sendData re-posts from
+ * each intermediate chip's partition.
  *
  * The single-chip blade's far bank (bank >= numChips) has no partition:
  * its command pays the IOIF crossing, the bank is serviced on the
@@ -315,10 +315,9 @@ CellSystem::routeMemory(spe::LineRequest &&req)
         return;
     }
     engine_->post(sc, bank, queue(sc).now() + cmd,
-                  sim::PartitionedEngine::ChannelFn(
-                      [this, ea, bytes, h, sc, bank] {
-                          memGetFar(ea, bytes, h, sc, bank);
-                      }));
+                  [this, ea, bytes, h, sc, bank] {
+                      memGetFar(ea, bytes, h, sc, bank);
+                  });
 }
 
 void
@@ -396,16 +395,11 @@ CellSystem::memGetFarCross(EffAddr ea, std::uint32_t bytes,
                            unsigned farChip)
 {
     // The data leaves the far chip here: read it out of the backing
-    // store now and let the crossing message carry it home by value
-    // (serializing on every link of the route back).
-    std::uint8_t buf[spe::lineBytes];
-    memory_->store().read(ea, buf, bytes);
+    // store into the home flight slot now, then serialize it on every
+    // link of the route back.
+    memory_->store().read(ea, flight(h).payload, bytes);
     memory_->links().sendData(farChip, homeChip, bytes,
-                              [this, h, bytes, buf] {
-                                  Flight &f = flight(h);
-                                  std::memcpy(f.payload, buf, bytes);
-                                  memGetRide(h);
-                              });
+                              [this, h] { memGetRide(h); });
 }
 
 void
@@ -457,18 +451,17 @@ void
 CellSystem::memPutCross(std::uint32_t h)
 {
     Flight &f = flight(h);
-    std::uint8_t buf[spe::lineBytes];
-    spes_[f.req.speIndex]->ls().read(f.req.lsa, buf, f.req.bytes);
+    spes_[f.req.speIndex]->ls().read(f.req.lsa, f.payload, f.req.bytes);
     if (f.req.corrupt)
-        buf[0] ^= 0xA5;
+        f.payload[0] ^= 0xA5;
     EffAddr ea = f.req.ea;
     std::uint32_t bytes = f.req.bytes;
     unsigned home = f.srcChip;
     unsigned far = f.bank;
     memory_->links().sendData(
-        home, far, bytes, [this, ea, bytes, h, home, far, buf] {
+        home, far, bytes, [this, ea, bytes, h, home, far] {
             // Far chip: land the data and ride the far EIB to the MIC.
-            memory_->store().write(ea, buf, bytes);
+            memory_->store().write(ea, flight(h).payload, bytes);
             eibs_[far]->transfer(eib::ioif0Ramp, eib::micRamp, bytes,
                                  [this, ea, bytes, h, home, far] {
                                      memPutFarRide(ea, bytes, h, home,
@@ -488,16 +481,14 @@ CellSystem::memPutFarRide(EffAddr ea, std::uint32_t bytes,
     // (latency only, every link of the route).
     const Tick L = memory_->links().pathLatency(farChip, homeChip);
     engine_->post(farChip, homeChip, completion + L,
-                  sim::PartitionedEngine::ChannelFn(
-                      [this, h] { finishFlight(h); }));
+                  [this, h] { finishFlight(h); });
 }
 
 /**
  * LS-to-LS routing.  Same-chip transfers stay on their
  * chip's queue.  Cross-chip GETs start on the data-holding chip (the
- * command crosses first); cross-chip PUTs read locally, cross with the
- * payload, and land through a temporary flight slot in the destination
- * chip's arena.
+ * command crosses first); cross-chip PUTs read locally into the flight
+ * slot, cross, and land from that slot on the destination chip.
  */
 void
 CellSystem::routeLocalStore(spe::LineRequest &&req)
@@ -542,17 +533,13 @@ CellSystem::routeLocalStore(spe::LineRequest &&req)
     std::uint16_t peer = f.srcSpe;
     LsAddr peerLsa = f.srcLsa;
     engine_->post(ic, pc, queue(ic).now() + cmd,
-                  sim::PartitionedEngine::ChannelFn(
-                      [this, peer, peerLsa, bytes, h, ic, pc] {
-                          Tick read_done =
-                              spes_[peer]->ls().reservePort(bytes);
-                          queue(pc).scheduleAt(
-                              read_done,
-                              [this, peer, peerLsa, bytes, h, ic] {
-                                  lsGetFarRideFrom(peer, peerLsa, bytes,
-                                                   h, ic);
-                              });
-                      }));
+                  [this, peer, peerLsa, bytes, h, ic, pc] {
+                      Tick read_done = spes_[peer]->ls().reservePort(bytes);
+                      queue(pc).scheduleAt(
+                          read_done, [this, peer, peerLsa, bytes, h, ic] {
+                              lsGetFarRideFrom(peer, peerLsa, bytes, h, ic);
+                          });
+                  });
 }
 
 void
@@ -612,17 +599,11 @@ CellSystem::lsGetFarRideFrom(std::uint16_t peer, LsAddr peerLsa,
     eibs_[peerChip]->transfer(
         rampOf(peer), eib::ioif0Ramp, bytes,
         [this, peer, peerLsa, bytes, h, homeChip, peerChip] {
-            // The data leaves the peer chip: read the peer LS now and
-            // carry the line home inside the crossing message.
-            std::uint8_t buf[spe::lineBytes];
-            spes_[peer]->ls().read(peerLsa, buf, bytes);
+            // The data leaves the peer chip: read the peer LS into the
+            // home flight slot now, then cross home.
+            spes_[peer]->ls().read(peerLsa, flight(h).payload, bytes);
             memory_->links().sendData(peerChip, homeChip, bytes,
-                                      [this, h, bytes, buf] {
-                                          Flight &f = flight(h);
-                                          std::memcpy(f.payload, buf,
-                                                      bytes);
-                                          lsGetHome(h);
-                                      });
+                                      [this, h] { lsGetHome(h); });
         });
 }
 
@@ -639,51 +620,30 @@ void
 CellSystem::lsPutCross(std::uint32_t h)
 {
     Flight &f = flight(h);
-    std::uint8_t buf[spe::lineBytes];
-    spes_[f.srcSpe]->ls().read(f.srcLsa, buf, f.req.bytes);
-    std::uint16_t dstSpe = f.dstSpe;
-    LsAddr dstLsa = f.dstLsa;
-    bool corrupt = f.req.corrupt;
-    std::uint32_t bytes = f.req.bytes;
-    unsigned home = f.srcChip;
+    spes_[f.srcSpe]->ls().read(f.srcLsa, f.payload, f.req.bytes);
     unsigned dc = chipOf(f.dstSpe);
-    memory_->links().sendData(
-        home, dc, bytes,
-        [this, dstSpe, dstLsa, corrupt, bytes, h, home, dc, buf] {
-            // Destination chip: park the line in a local flight slot
-            // for the ride from the IOIF ramp to the target LS.
-            spe::LineRequest tmp{};
-            tmp.bytes = bytes;
-            tmp.corrupt = corrupt;
-            std::uint32_t h2 = acquireFlight(dc, std::move(tmp));
-            Flight &t = flight(h2);
-            t.dstSpe = dstSpe;
-            t.dstLsa = dstLsa;
-            t.srcChip = static_cast<std::uint8_t>(home);
-            std::memcpy(t.payload, buf, bytes);
-            eibs_[dc]->transfer(
-                eib::ioif0Ramp, rampOf(dstSpe), bytes,
-                [this, h2, h, home] { lsPutFarLand(h2, h, home); });
-        });
+    memory_->links().sendData(f.srcChip, dc, f.req.bytes, [this, h, dc] {
+        // Destination chip: ride from the IOIF ramp to the target LS.
+        const Flight &g = flight(h);
+        eibs_[dc]->transfer(eib::ioif0Ramp, rampOf(g.dstSpe), g.req.bytes,
+                            [this, h] { lsPutFarLand(h); });
+    });
 }
 
 void
-CellSystem::lsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
-                         unsigned homeChip)
+CellSystem::lsPutFarLand(std::uint32_t h)
 {
-    Flight &t = flight(tempH);
-    unsigned dc = tempH >> kChipShift;
-    spe::Spe *dst = spes_[t.dstSpe].get();
-    Tick done_at = dst->ls().reservePort(t.req.bytes);
-    if (t.req.corrupt)
-        t.payload[0] ^= 0xA5;
-    dst->ls().write(t.dstLsa, t.payload, t.req.bytes);
-    releaseFlight(tempH);
+    Flight &f = flight(h);
+    unsigned dc = chipOf(f.dstSpe);
+    spe::Spe *dst = spes_[f.dstSpe].get();
+    Tick done_at = dst->ls().reservePort(f.req.bytes);
+    if (f.req.corrupt)
+        f.payload[0] ^= 0xA5;
+    dst->ls().write(f.dstLsa, f.payload, f.req.bytes);
     // The completion acknowledgment crosses back to the issuing chip.
-    const Tick L = memory_->links().pathLatency(dc, homeChip);
-    engine_->post(dc, homeChip, done_at + L,
-                  sim::PartitionedEngine::ChannelFn(
-                      [this, homeH] { finishFlight(homeH); }));
+    const Tick L = memory_->links().pathLatency(dc, f.srcChip);
+    engine_->post(dc, f.srcChip, done_at + L,
+                  [this, h] { finishFlight(h); });
 }
 
 void

@@ -27,7 +27,9 @@
  * by index handles), so the routing stages capture {this, handle}
  * instead of moving a ~100-byte request through every closure: the
  * whole hot path schedules with inline-stored callbacks and recycles
- * storage instead of allocating.
+ * storage instead of allocating.  A line that crosses chips keeps its
+ * data in its home slot too, so cross-partition messages carry only a
+ * few words of routing state.
  *
  * @code
  *   cell::CellConfig cfg;
@@ -184,12 +186,14 @@ class CellSystem
 
   private:
     /**
-     * An in-flight DMA line and its routing state, arena-resident.
-     * Stages address it by handle so closures stay inline-small; the
-     * payload buffer carries line data across chip boundaries, where
-     * the far side must not dereference the backing store or LS on the
-     * home chip's behalf: a partition sees another chip's state only
-     * through the messages the engine delivers.
+     * An in-flight DMA line and its routing state, arena-resident in
+     * the issuing (home) chip's arena.  Stages address it by handle so
+     * closures stay inline-small.  The payload buffer carries line data
+     * across chip boundaries: the chip where the data leaves (the far
+     * bank or peer LS for a GET, the home LS for a PUT) copies it in,
+     * and the chip where it lands copies it out.  The slot belongs to
+     * its line until release, and the partitions never run
+     * concurrently, so the far side may use it while the line is away.
      */
     struct Flight
     {
@@ -263,10 +267,9 @@ class CellSystem
     void buildPlacement(std::uint64_t seed);
     void routeLine(spe::LineRequest &&req);
 
-    /** @name Routing stages.  Far-side stages carry {home, far} chip
-     *        indices by value: the far partition must not read the
-     *        home chip's arena, whose state may sit at a different tick
-     *        within a window. */
+    /** @name Routing stages.  Far-side stages carry their routing
+     *        state ({ea, bytes, home and far chips}) by value and touch
+     *        the home arena only through their own line's slot. */
     /** @{ */
     void routeMemory(spe::LineRequest &&req);
     void routeLocalStore(spe::LineRequest &&req);
@@ -293,8 +296,7 @@ class CellSystem
                           unsigned homeChip);
     void lsGetHome(std::uint32_t h);
     void lsPutCross(std::uint32_t h);
-    void lsPutFarLand(std::uint32_t tempH, std::uint32_t homeH,
-                      unsigned homeChip);
+    void lsPutFarLand(std::uint32_t h);
     void finishFlight(std::uint32_t h);
 
     /** True iff @p f's target bank sits on another chip's partition

@@ -14,6 +14,7 @@
 #include <functional>
 #include <utility>
 
+#include "sim/parallel.hh"
 #include "sim/sim_object.hh"
 
 namespace cellbw::mem
@@ -46,12 +47,15 @@ class IoLink : public sim::SimObject
      * Inbound = chip 1), which is where the lane's reservation clock
      * reads the current tick.
      *
-     * The crossing callable is wider than an event callback: crossing
-     * DMA lines carry their 128-byte payload with them (matching
-     * sim::PartitionedEngine::ChannelFn).
+     * The crossing callable is the engine's message type
+     * (sim::PartitionedEngine::ChannelFn), so a completion is never
+     * re-wrapped on its way into the engine.  Completions carry
+     * routing state, not line data (a crossing line's payload stays in
+     * its home flight slot), and one that would not fit inline does
+     * not compile.
      */
-    using CrossingFn = util::InlineFunction<void(), 176>;
-    using RemotePost = std::function<void(Dir, Tick, CrossingFn)>;
+    using CrossingFn = sim::PartitionedEngine::ChannelFn;
+    using RemotePost = std::function<void(Dir, Tick, CrossingFn &&)>;
 
     void
     setPartitioned(sim::EventQueue *outboundSrc,

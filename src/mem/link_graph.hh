@@ -98,11 +98,13 @@ class LinkGraph
             h.link->send(h.lane, bytes, std::forward<F>(onDone));
             return;
         }
+        // The wrapper holds the continuation itself, not a CrossingFn
+        // around it, so it stays within the crossing callback's inline
+        // window.
         h.link->send(
             h.lane, bytes,
             [this, next = h.next, to, bytes,
-             onDone = IoLink::CrossingFn(
-                 std::forward<F>(onDone))]() mutable {
+             onDone = std::forward<F>(onDone)]() mutable {
                 sendData(next, to, bytes, std::move(onDone));
             });
     }
@@ -120,7 +122,7 @@ class LinkGraph
             e.link->setPartitioned(
                 queueOf(e.lo), queueOf(e.hi),
                 [post, lo = e.lo, hi = e.hi](IoLink::Dir d, Tick when,
-                                             IoLink::CrossingFn fn) {
+                                             IoLink::CrossingFn &&fn) {
                     bool out = d == IoLink::Dir::Outbound;
                     post(out ? lo : hi, out ? hi : lo, when,
                          std::move(fn));

@@ -58,11 +58,14 @@ class MemorySystem : public sim::SimObject
      * Partitioned-simulation hook for the PPE's remote line paths: the
      * command/ack must hop between the chips' event queues.  The hook
      * posts @p fn to run at tick @p when on chip @p dstChip's queue.
+     * CrossFn is the engine's message type: the line paths below keep
+     * the caller's completion as its own type (no wrapping callback),
+     * so their closures stay inline for completions of a few words.
      */
-    using CrossFn = util::InlineFunction<void(), 176>;
+    using CrossFn = sim::PartitionedEngine::ChannelFn;
     using CrossPost =
         std::function<void(unsigned srcChip, unsigned dstChip, Tick when,
-                           CrossFn fn)>;
+                           CrossFn &&fn)>;
 
     void setPartitioned(CrossPost post) { crossPost_ = std::move(post); }
 
@@ -97,8 +100,7 @@ class MemorySystem : public sim::SimObject
             crossPost_(
                 0, b, eventQueue().now() + cmd,
                 CrossFn([this, ea, bytes, b,
-                         onDone = sim::EventQueue::Callback(
-                             std::forward<F>(onDone))]() mutable {
+                         onDone = std::forward<F>(onDone)]() mutable {
                     banks_[b]->access(
                         ea, bytes, false,
                         [this, bytes, b,
@@ -143,8 +145,7 @@ class MemorySystem : public sim::SimObject
             links_->sendData(
                 0, b, bytes,
                 [this, ea, bytes, b,
-                 onDone = sim::EventQueue::Callback(
-                     std::forward<F>(onDone))]() mutable {
+                 onDone = std::forward<F>(onDone)]() mutable {
                     Tick completion =
                         banks_[b]->reserveAccess(ea, bytes, true);
                     crossPost_(b, 0,

@@ -22,8 +22,16 @@ monotonicNs()
 
 } // namespace
 
-thread_local EventQueue::Chunk *EventQueue::pool_ = nullptr;
-thread_local std::size_t EventQueue::poolSize_ = 0;
+thread_local EventQueue::ChunkPool EventQueue::pool_;
+
+EventQueue::ChunkPool::~ChunkPool()
+{
+    while (head) {
+        Chunk *next = head->next;
+        delete head;
+        head = next;
+    }
+}
 
 EventQueue::~EventQueue()
 {
@@ -35,10 +43,10 @@ EventQueue::~EventQueue()
             for (std::size_t i = 0; i < c->count; ++i)
                 c->slot(i)->~Callback();
             Chunk *next = c->next;
-            if (poolSize_ < kPoolCap) {
-                c->next = pool_;
-                pool_ = c;
-                ++poolSize_;
+            if (pool_.size < kPoolCap) {
+                c->next = pool_.head;
+                pool_.head = c;
+                ++pool_.size;
             } else {
                 delete c;
             }
@@ -72,9 +80,9 @@ EventQueue::appendChunk(Bucket &b)
     Chunk *c = freelist_;
     if (c) {
         freelist_ = c->next;
-    } else if ((c = pool_)) {
-        pool_ = c->next;
-        --poolSize_;
+    } else if ((c = pool_.head)) {
+        pool_.head = c->next;
+        --pool_.size;
     } else {
         c = new Chunk;
     }
@@ -151,6 +159,11 @@ EventQueue::nextBucketTick() const
 Tick
 EventQueue::nextEventTick() const
 {
+    // An empty ring would cost a scan of the whole occupancy bitmap;
+    // the partitioned engine asks every partition once per window,
+    // often while its next event is still a message in flight.
+    if (pending_ == overflow_.size())
+        return overflow_.empty() ? maxTick : overflow_.top().when;
     const Tick ring = nextBucketTick();
     if (!overflow_.empty() && overflow_.top().when < ring)
         return overflow_.top().when;
@@ -221,6 +234,10 @@ EventQueue::drainRing(Tick cap)
 {
     std::uint64_t n = 0;
     for (;;) {
+        // An empty ring needs no scan (a queue often drains its last
+        // bucketed event well before the window it runs in ends).
+        if (pending_ == overflow_.size())
+            return n;
         // Cursor scan for the next bucketed tick >= now_.
         const std::size_t start = static_cast<std::size_t>(now_ % kWindow);
         std::size_t w = start / 64;

@@ -22,7 +22,8 @@
  *    experiments construct a fresh simulator (and queue) per data
  *    point, and handing page-sized chunks straight back to malloc lets
  *    the allocator trim them to the OS, so every point would re-fault
- *    the same pages it just gave up.
+ *    the same pages it just gave up.  The pool is freed when its thread
+ *    exits, so short-lived sweep workers do not leak their chunks.
  *  - Far-future events overflow into a conventional (when, seq) min-heap
  *    and migrate into the ring as time advances.
  *
@@ -290,8 +291,16 @@ class EventQueue
     /** Chunks a destructing queue may park for later queues (4 MiB). */
     static constexpr std::size_t kPoolCap = 1024;
 
-    static thread_local Chunk *pool_;
-    static thread_local std::size_t poolSize_;
+    /** A thread's parked chunks; freed when the thread exits. */
+    struct ChunkPool
+    {
+        Chunk *head = nullptr;
+        std::size_t size = 0;
+
+        ~ChunkPool();
+    };
+
+    static thread_local ChunkPool pool_;
 
     /** Append migrated overflow entry @p e to its bucket. */
     void pushBucket(Entry e);

@@ -12,20 +12,35 @@ PartitionedEngine::PartitionedEngine(unsigned partitions, Tick lookahead)
 {
     if (n_ == 0)
         fatal("partitioned engine needs at least one partition");
+    if (static_cast<std::uint64_t>(n_) * n_ > (1u << (64 - kSeqBits)))
+        fatal("partitioned engine supports at most %u partitions",
+              1u << ((64 - kSeqBits) / 2));
     if (lookahead_ == 0 && n_ > 1)
         fatal("partitioned engine needs a positive lookahead");
     queues_.reserve(n_);
     for (unsigned p = 0; p < n_; ++p)
         queues_.push_back(std::make_unique<EventQueue>());
-    channels_.resize(static_cast<std::size_t>(n_) * n_);
-    channelSeq_.resize(channels_.size(), 0);
+    next_.resize(n_, maxTick);
 }
 
 PartitionedEngine::~PartitionedEngine() = default;
 
+std::uint32_t
+PartitionedEngine::acquireSlot()
+{
+    if (!freeSlots_.empty()) {
+        const std::uint32_t s = freeSlots_.back();
+        freeSlots_.pop_back();
+        return s;
+    }
+    if (slotCount_ % kSlotsPerBlock == 0)
+        blocks_.push_back(std::make_unique<ChannelFn[]>(kSlotsPerBlock));
+    return slotCount_++;
+}
+
 void
 PartitionedEngine::post(unsigned src, unsigned dst, Tick when,
-                        ChannelFn fn)
+                        ChannelFn &&fn)
 {
     if (src >= n_ || dst >= n_)
         panic("post between unknown partitions %u -> %u", src, dst);
@@ -39,67 +54,46 @@ PartitionedEngine::post(unsigned src, unsigned dst, Tick when,
               (unsigned long long)src_now,
               (unsigned long long)lookahead_);
     }
-    auto &ch = channels_[static_cast<std::size_t>(src) * n_ + dst];
-    ch.push_back(Msg{when,
-                     channelSeq_[static_cast<std::size_t>(src) * n_ + dst]++,
-                     src, std::move(fn)});
+    const std::uint32_t s = acquireSlot();
+    slot(s) = std::move(fn);
+    // Post order stands in for a per-channel sequence number: within
+    // one (when, channel) it orders messages exactly the same way.
+    const std::uint64_t channel = std::uint64_t(src) * n_ + dst;
+    heap_.push_back(Pending{when, (channel << kSeqBits) | nextSeq_++, s,
+                            dst});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-Tick
-PartitionedEngine::nextTick() const
+void
+PartitionedEngine::deliver(std::uint32_t s)
 {
-    Tick t = maxTick;
-    for (auto &q : queues_)
-        t = std::min(t, q->nextEventTick());
-    for (auto &ch : channels_)
-        for (auto &m : ch)
-            t = std::min(t, m.when);
-    return t;
+    // Runs in place: the block never moves, even if the closure posts
+    // new messages that grow the store.
+    ChannelFn &fn = slot(s);
+    fn();
+    fn.reset();
+    freeSlots_.push_back(s);
 }
 
 void
 PartitionedEngine::deliverDue(Tick horizon)
 {
-    due_.clear();
-    for (unsigned src = 0; src < n_; ++src) {
-        for (unsigned dst = 0; dst < n_; ++dst) {
-            auto &ch = channels_[static_cast<std::size_t>(src) * n_ + dst];
-            std::size_t kept = 0;
-            for (auto &m : ch) {
-                if (m.when <= horizon) {
-                    // Tag the message with its destination (reuse src:
-                    // it is only needed for the sort key below, and the
-                    // destination is recoverable from the channel).
-                    due_.push_back(std::move(m));
-                    due_.back().src = src * n_ + dst;
-                } else {
-                    ch[kept++] = std::move(m);
-                }
-            }
-            ch.resize(kept);
-        }
-    }
-    if (due_.empty())
-        return;
-    // A fixed delivery order makes the schedule independent of the
-    // channel scan: earliest first, ties by source partition, then by
-    // per-channel send order.
-    std::sort(due_.begin(), due_.end(), [](const Msg &a, const Msg &b) {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.src != b.src)
-            return a.src < b.src;
-        return a.seq < b.seq;
-    });
-    for (auto &m : due_) {
-        unsigned dst = m.src % n_;
+    // Heap order is the fixed delivery order: earliest first, ties by
+    // channel (source partition, then destination), then post order —
+    // the schedule does not depend on which partition posted first in
+    // host time.
+    while (!heap_.empty() && heap_.front().when <= horizon) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        const Pending m = heap_.back();
+        heap_.pop_back();
+        EventQueue &q = *queues_[m.dst];
         // Deterministic profile attribution: delivered messages are
         // boundary traffic, not the last event's component.
-        TagScope tag(*queues_[dst], EventTag::Other);
-        queues_[dst]->scheduleAt(m.when, std::move(m.fn));
+        TagScope tag(q, EventTag::Other);
+        q.scheduleAt(m.when, [this, s = m.slot] { deliver(s); });
+        next_[m.dst] = std::min(next_[m.dst], m.when);
         ++delivered_;
     }
-    due_.clear();
 }
 
 std::uint64_t
@@ -110,17 +104,30 @@ PartitionedEngine::run()
     if (n_ == 1)
         return queues_[0]->run();
     std::uint64_t events = 0;
+    Tick last_end = 0;
     for (;;) {
-        Tick tmin = nextTick();
+        Tick tmin = heap_.empty() ? maxTick : heap_.front().when;
+        for (unsigned p = 0; p < n_; ++p) {
+            next_[p] = queues_[p]->nextEventTick();
+            tmin = std::min(tmin, next_[p]);
+        }
         if (tmin == maxTick)
             break;
-        Tick window_end = (tmin > maxTick - lookahead_)
-                              ? maxTick
-                              : tmin + lookahead_ - 1;
+        const Tick window_end = (tmin > maxTick - lookahead_)
+                                    ? maxTick
+                                    : tmin + lookahead_ - 1;
         deliverDue(window_end);
-        for (auto &q : queues_)
-            events += q->runUntil(window_end);
+        for (unsigned p = 0; p < n_; ++p) {
+            if (next_[p] <= window_end)
+                events += queues_[p]->runUntil(window_end);
+        }
+        last_end = window_end;
     }
+    // Every queue is empty: bring the skipped partitions' clocks to the
+    // last window's end, where running every window would have left
+    // them.
+    for (auto &q : queues_)
+        q->runUntil(last_end);
     return events;
 }
 

@@ -11,15 +11,24 @@
  * tmin is the earliest pending event (or undelivered cross-partition
  * message) anywhere in the system.
  *
- * The engine owns one EventQueue per partition plus an n x n mesh of
- * message channels.  A partition sends work across the boundary with
- * post(); messages are delivered at window boundaries in a fixed
- * (when, srcPartition, seq) order, and each window runs the partitions
- * one after another in index order.  The event schedule — and hence
- * every report — is a property of that partitioned schedule alone.
- * Windows are a handful of events long (one IOIF crossing), so the
- * engine runs them on the calling thread: synchronizing worker threads
- * twice per window would cost more than the events themselves.
+ * The engine owns one EventQueue per partition plus one delivery heap.
+ * A partition sends work across the boundary with post(): the closure
+ * parks in a stable slot store and a small (when, channel, seq, slot)
+ * key enters a min-heap.  At each window boundary the heap pops every
+ * message due in the window, in (when, src, dst, post order) order,
+ * into its destination queue as a {engine, slot} event; then the
+ * partitions with an event or a delivery inside the window run one
+ * after another in index order, and idle partitions are skipped.  A
+ * window therefore costs O(messages it delivers + partitions with
+ * work).  The event schedule — and hence every report — is a property
+ * of that partitioned schedule alone.  Windows are a handful of events
+ * long (one IOIF crossing), so the engine runs them on the calling
+ * thread: synchronizing worker threads twice per window would cost
+ * more than the events themselves.
+ *
+ * A skipped partition's now() lags until it next has work; run() brings
+ * every partition's now() to the last window's end before it returns,
+ * as if each had run every window.
  *
  * A single-chip system is a one-partition engine.  With no peer to
  * post to it, run() drains that partition's queue directly rather than
@@ -48,12 +57,15 @@ class PartitionedEngine
 {
   public:
     /**
-     * Cross-partition messages carry their continuation; crossing DMA
-     * lines additionally carry their 128-byte payload, so the inline
-     * window is sized for a this-pointer, a line of data, and a few
-     * words of routing state.
+     * Cross-partition messages carry their continuation and a few
+     * words of routing state; a crossing DMA line's payload stays in
+     * its home flight slot (see cell/cell_system).  The window fits the
+     * largest in-tree crossing closure — a multi-hop link wrapper
+     * (mem::LinkGraph::sendData) around a 32-byte line continuation —
+     * and a closure that would not fit is a compile error, so posting
+     * never allocates.
      */
-    using ChannelFn = util::InlineFunction<void(), 176>;
+    using ChannelFn = util::InlineFunction<void(), 56, false>;
 
     PartitionedEngine(unsigned partitions, Tick lookahead);
     ~PartitionedEngine();
@@ -72,7 +84,7 @@ class PartitionedEngine
      * context (its queue's current event); panics if @p when violates
      * the lookahead safety rule.
      */
-    void post(unsigned src, unsigned dst, Tick when, ChannelFn fn);
+    void post(unsigned src, unsigned dst, Tick when, ChannelFn &&fn);
 
     /**
      * Run every partition, window by window (or a lone partition
@@ -93,29 +105,59 @@ class PartitionedEngine
     void setProfiling(bool on);
 
   private:
-    struct Msg
+    /** Heap key of one undelivered message. */
+    struct Pending
     {
         Tick when;
-        std::uint64_t seq;
-        unsigned src;
-        ChannelFn fn;
+        /** (src * n + dst) << kSeqBits | post sequence number. */
+        std::uint64_t order;
+        std::uint32_t slot;
+        std::uint32_t dst;
     };
 
-    /** Earliest pending event or undelivered message, or maxTick. */
-    Tick nextTick() const;
+    /** Min-heap order on (when, channel, post order). */
+    struct Later
+    {
+        bool
+        operator()(const Pending &a, const Pending &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.order > b.order;
+        }
+    };
 
-    /** Move every channel message with when <= @p horizon into its
-     *  destination queue, in (when, src, seq) order. */
+    static constexpr unsigned kSeqBits = 48;
+    static constexpr std::uint32_t kSlotsPerBlock = 256;
+
+    ChannelFn &
+    slot(std::uint32_t s)
+    {
+        return blocks_[s / kSlotsPerBlock][s % kSlotsPerBlock];
+    }
+
+    std::uint32_t acquireSlot();
+
+    /** Run the message parked in slot @p s, then recycle the slot. */
+    void deliver(std::uint32_t s);
+
+    /** Move every message with when <= @p horizon into its destination
+     *  queue, in heap order, and lower that partition's next_ tick. */
     void deliverDue(Tick horizon);
 
     unsigned n_;
     Tick lookahead_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
-    /** channels_[src * n_ + dst]: messages in flight src -> dst. */
-    std::vector<std::vector<Msg>> channels_;
-    std::vector<std::uint64_t> channelSeq_;
+    std::vector<Pending> heap_;
+    /** Stable closure store: blocks never move, so a delivered closure
+     *  runs in place while it posts new messages. */
+    std::vector<std::unique_ptr<ChannelFn[]>> blocks_;
+    std::vector<std::uint32_t> freeSlots_;
+    std::uint32_t slotCount_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    /** Per partition: earliest event or delivery of the current window. */
+    std::vector<Tick> next_;
     std::uint64_t delivered_ = 0;
-    std::vector<Msg> due_;
 };
 
 } // namespace cellbw::sim

@@ -13,7 +13,10 @@
  *  - move-only (so move-only captures like unique_ptr are supported);
  *  - no target()/target_type() RTTI;
  *  - invoking an empty InlineFunction is undefined (the event queue
- *    never stores empty callbacks).
+ *    never stores empty callbacks);
+ *  - with AllowHeap = false a capture that does not fit inline is a
+ *    compile error instead of a heap allocation, for callables whose
+ *    every construction must stay allocation-free.
  */
 
 #ifndef CELLBW_UTIL_INLINE_FUNCTION_HH
@@ -27,11 +30,13 @@
 namespace cellbw::util
 {
 
-template <typename Signature, std::size_t InlineBytes = 48>
+template <typename Signature, std::size_t InlineBytes = 48,
+          bool AllowHeap = true>
 class InlineFunction;
 
-template <typename R, typename... Args, std::size_t InlineBytes>
-class InlineFunction<R(Args...), InlineBytes>
+template <typename R, typename... Args, std::size_t InlineBytes,
+          bool AllowHeap>
+class InlineFunction<R(Args...), InlineBytes, AllowHeap>
 {
     static_assert(InlineBytes >= sizeof(void *),
                   "inline buffer must at least hold the heap pointer");
@@ -182,6 +187,8 @@ class InlineFunction<R(Args...), InlineBytes>
             ::new (static_cast<void *>(&storage_)) D(std::forward<F>(f));
             vtable_ = &InlineOps<D>::vtable;
         } else {
+            static_assert(AllowHeap && sizeof(D) > 0,
+                          "callable does not fit the inline buffer");
             ::new (static_cast<void *>(&storage_))
                 (D *)(new D(std::forward<F>(f)));
             vtable_ = &HeapOps<D>::vtable;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -101,6 +104,27 @@ TEST(EventQueue, ChunkPoolRecyclesAcrossQueueLifetimes)
             eq.run();       // odd rounds tear down with pending events
     }
     EXPECT_EQ(sum, 4 * 500);
+}
+
+TEST(EventQueue, ChunkPoolIsFreedWhenItsThreadExits)
+{
+    // Seed sweeps run each copy on a fresh worker thread; the chunks a
+    // thread parks at queue teardown must go back to the heap when the
+    // thread exits, or every sweep leaks a pool's worth of pages.
+    auto work = [] {
+        sim::EventQueue eq;
+        long sum = 0;
+        // One chunk per distinct pending tick: ~1 MiB parked per thread.
+        for (int i = 0; i < 256; ++i)
+            eq.schedule(static_cast<Tick>(i), [&sum] { ++sum; });
+        eq.run();
+    };
+    auto in_use = [] { return static_cast<long>(mallinfo2().uordblks); };
+    std::thread(work).join();   // first thread: lazy runtime state
+    const long before = in_use();
+    for (int t = 0; t < 4; ++t)
+        std::thread(work).join();
+    EXPECT_LT(in_use() - before, 64 * 1024);
 }
 
 TEST(EventQueue, HandlersMayScheduleMoreEvents)

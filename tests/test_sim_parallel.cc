@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -58,26 +61,117 @@ TEST(PartitionedEngine, PostDeliversAtTheRequestedTick)
 
 TEST(PartitionedEngine, DeliveryOrderIsWhenSourceSeq)
 {
-    // Three messages land on partition 2 at the same tick: two from
-    // partition 0 (in post order) and one from partition 1.  A local
-    // event already queued for that tick fires first (bucket FIFO),
-    // then the deliveries in (when, src, seq) order — the fixed merge
-    // that makes the schedule independent of the channel scan.
-    sim::PartitionedEngine eng(3, kLook);
-    std::vector<int> order;
-    eng.queue(2).scheduleAt(kLook, [&] { order.push_back(99); });
-    eng.queue(0).schedule(0, [&] {
-        eng.post(0, 2, kLook, sim::PartitionedEngine::ChannelFn(
-                                  [&] { order.push_back(1); }));
-        eng.post(0, 2, kLook, sim::PartitionedEngine::ChannelFn(
-                                  [&] { order.push_back(2); }));
+    // Three sources (0, 1, 2) post to two destinations (3, 4) over
+    // several windows, mostly in reverse of the delivery order: higher
+    // sources post in earlier windows, and a later tick is sometimes
+    // posted before an earlier one on the same channel.  Each window
+    // runs its destinations in index order, and each destination sees
+    // its deliveries in (when, src, seq) order, after any local event
+    // already queued for the same tick (bucket FIFO).
+    using Rec = std::tuple<Tick, unsigned, unsigned, unsigned>;
+    constexpr unsigned kLocal = 99;
+    sim::PartitionedEngine eng(5, kLook);
+    std::vector<Rec> order;
+    std::map<std::pair<unsigned, unsigned>, unsigned> seq;
+    // Each message records (tick it ran, src, dst, per-channel seq).
+    auto send = [&](unsigned src, unsigned dst, Tick when) {
+        const unsigned k = seq[{src, dst}]++;
+        eng.post(src, dst, when,
+                 sim::PartitionedEngine::ChannelFn([&, src, dst, k] {
+                     order.emplace_back(eng.queue(dst).now(), src, dst,
+                                        k);
+                 }));
+    };
+    eng.queue(3).scheduleAt(300, [&] {
+        order.emplace_back(eng.queue(3).now(), kLocal, 3, 0);
     });
-    eng.queue(1).schedule(0, [&] {
-        eng.post(1, 2, kLook, sim::PartitionedEngine::ChannelFn(
-                                  [&] { order.push_back(3); }));
+    eng.queue(2).scheduleAt(0, [&] {
+        send(2, 4, 350);
+        send(2, 3, 300);
+        send(2, 3, 300);
+    });
+    eng.queue(1).scheduleAt(100, [&] {
+        send(1, 4, 300);
+        send(1, 3, 350);
+        send(1, 3, 300);
+    });
+    eng.queue(0).scheduleAt(200, [&] {
+        send(0, 4, 300);
+        send(0, 3, 300);
+        send(0, 4, 300);
+    });
+    eng.queue(2).scheduleAt(400, [&] {
+        send(2, 3, 600);
+        send(2, 4, 600);
+    });
+    eng.queue(1).scheduleAt(480, [&] { send(1, 4, 600); });
+    eng.queue(0).scheduleAt(500, [&] {
+        send(0, 3, 650);
+        send(0, 3, 600);
     });
     eng.run();
-    EXPECT_EQ(order, (std::vector<int>{99, 1, 2, 3}));
+    const std::vector<Rec> expected = {
+        // Window [300, 399].
+        {300, kLocal, 3, 0},
+        {300, 0, 3, 0},
+        {300, 1, 3, 1},
+        {300, 2, 3, 0},
+        {300, 2, 3, 1},
+        {350, 1, 3, 0},
+        {300, 0, 4, 0},
+        {300, 0, 4, 1},
+        {300, 1, 4, 0},
+        {350, 2, 4, 0},
+        // Window [600, 699].
+        {600, 0, 3, 2},
+        {600, 2, 3, 2},
+        {650, 0, 3, 1},
+        {600, 1, 4, 1},
+        {600, 2, 4, 1},
+    };
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eng.messagesDelivered(), 14u);
+}
+
+TEST(PartitionedEngine, IdlePartitionReceivesLateMessage)
+{
+    // Partition 1 has nothing to do while partition 0 walks more than
+    // one event-queue window of ticks, then receives a message: its
+    // clock lags far behind the delivery tick, so the message takes
+    // the queue's overflow path.  It must still fire at its exact
+    // tick, and the run must end where running every window would.
+    sim::PartitionedEngine eng(2, kLook);
+    const Tick late = 2 * sim::EventQueue::window() + 7;
+    Tick seen = maxTick;
+    eng.queue(1).schedule(5, [] {});
+    struct Walker
+    {
+        sim::PartitionedEngine &eng;
+        Tick late;
+        Tick &seen;
+
+        void
+        step()
+        {
+            auto &q = eng.queue(0);
+            if (q.now() < late - kLook) {
+                q.scheduleAt(std::min(q.now() + kLook / 2, late - kLook),
+                             [this] { step(); });
+                return;
+            }
+            eng.post(0, 1, late, sim::PartitionedEngine::ChannelFn(
+                                     [this] { seen = eng.queue(1).now(); }));
+        }
+    } walker{eng, late, seen};
+    eng.queue(0).schedule(0, [&] { walker.step(); });
+    eng.run();
+    EXPECT_EQ(seen, late);
+    EXPECT_EQ(eng.messagesDelivered(), 1u);
+    EXPECT_EQ(eng.queue(1).lastDispatchTick(), late);
+    EXPECT_EQ(eng.lastDispatchTick(), late);
+    // The last window starts at the delivery; both clocks end there.
+    EXPECT_EQ(eng.queue(0).now(), late + kLook - 1);
+    EXPECT_EQ(eng.queue(1).now(), late + kLook - 1);
 }
 
 namespace
