@@ -8,12 +8,14 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <deque>
 
 #include "cell/cell_system.hh"
 #include "core/experiments.hh"
 #include "core/runner.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
+#include "spe/mfc.hh"
 
 using namespace cellbw;
 
@@ -194,6 +196,53 @@ BM_PartitionedWindow(benchmark::State &state)
     state.counters["ns_per_msg"] = ns / static_cast<double>(delivered);
 }
 BENCHMARK(BM_PartitionedWindow)->Arg(4096);
+
+/**
+ * The MFC's host cost per DMA line on its own, in the paper's Fig. 8
+ * regime: one MFC with its 16-entry queue full of 16 KiB GETs and 18
+ * memory tokens, against a router that completes every line a fixed
+ * 230 ticks (one memory round trip) later.  The token window stays
+ * full, so every completion issues one line while the other commands
+ * wait.  Reports ns per line: slicing, tag bookkeeping, the ring and
+ * the line completion, plus one queue event per line.
+ */
+void
+BM_MfcLineIssue(benchmark::State &state)
+{
+    constexpr Tick kRoundTrip = 230;
+    constexpr unsigned kCommands = 16;
+    constexpr std::uint32_t kBytes = 16 * 1024;
+    std::uint64_t lines = 0;
+    double ns = 0;
+    for (auto _ : state) {
+        const auto t0 = std::chrono::steady_clock::now();
+        sim::EventQueue eq;
+        spe::MfcParams params;
+        params.memoryTokens = 18;
+        spe::Mfc mfc("mfc", eq, sim::ClockSpec{}, params, 0);
+        // Fixed delay, so lines complete in the order they were sent.
+        std::deque<decltype(spe::LineRequest::done)> inFlight;
+        mfc.setLineHandler([&eq, &inFlight](spe::LineRequest &&req) {
+            inFlight.push_back(std::move(req.done));
+            eq.schedule(kRoundTrip, [&inFlight] {
+                auto done = std::move(inFlight.front());
+                inFlight.pop_front();
+                done();
+            });
+        });
+        for (unsigned c = 0; c < kCommands; ++c)
+            mfc.get(0, EffAddr(c) * kBytes, kBytes, c);
+        eq.run();
+        benchmark::DoNotOptimize(mfc.bytesTransferred());
+        lines += mfc.linesSent();
+        ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lines));
+    state.counters["ns_per_line"] = ns / static_cast<double>(lines);
+}
+BENCHMARK(BM_MfcLineIssue);
 
 void
 BM_PpeL1Stream(benchmark::State &state)

@@ -92,9 +92,8 @@ CellSystem::CellSystem(const CellConfig &cfg, std::uint64_t placementSeed)
         s->setPhysicalSpe(placement_[i],
                           eib::speRamp(placement_[i] %
                                        eib::numPhysicalSpes));
-        s->mfc().setLineHandler([this](spe::LineRequest &&req) {
-            routeLine(std::move(req));
-        });
+        s->mfc().setLineHandler(
+            [this](spe::LineRequest &&req) { routeLine(req); });
         if (cfg_.verify) {
             s->mfc().setCompletionHook(
                 [this](const spe::Mfc::Completion &done) {
@@ -244,17 +243,41 @@ CellSystem::run()
                        "completes?)");
         }
     }
+    checkDrained();
 }
 
 void
-CellSystem::routeLine(spe::LineRequest &&req)
+CellSystem::checkDrained() const
+{
+    // With every queue empty, nothing can still be in flight: a line
+    // left holding a slot, a token or a tag was lost on its way home.
+    for (unsigned c = 0; c < arenas_.size(); ++c) {
+        if (std::size_t n = arenas_[c].inUse())
+            sim::panic("drain check: chip %u flight arena still holds "
+                       "%zu line(s)", c, n);
+    }
+    for (const auto &s : spes_) {
+        std::string why = s->mfc().drainReport();
+        if (!why.empty())
+            sim::panic("drain check: %s not drained: %s",
+                       s->mfc().name().c_str(), why.c_str());
+    }
+    if (engine_->undelivered() || engine_->parkedClosures()) {
+        sim::panic("drain check: partitioned engine still holds %zu "
+                   "undelivered message(s) and %zu parked closure(s)",
+                   engine_->undelivered(), engine_->parkedClosures());
+    }
+}
+
+void
+CellSystem::routeLine(const spe::LineRequest &req)
 {
     if (req.speIndex >= spes_.size())
         sim::panic("DMA line from unknown SPE %u", req.speIndex);
     if (isLsEa(req.ea))
-        routeLocalStore(std::move(req));
+        routeLocalStore(req);
     else
-        routeMemory(std::move(req));
+        routeMemory(req);
 }
 
 /**
@@ -283,7 +306,7 @@ CellSystem::routeLine(spe::LineRequest &&req)
  * their closures are {this, handle} — inline-stored, allocation-free.
  */
 void
-CellSystem::routeMemory(spe::LineRequest &&req)
+CellSystem::routeMemory(const spe::LineRequest &req)
 {
     unsigned bank = memory_->bankOf(req.ea);
     unsigned sc = chipOf(req.speIndex);
@@ -292,7 +315,7 @@ CellSystem::routeMemory(spe::LineRequest &&req)
     EffAddr ea = req.ea;
     spe::Spe *s = spes_[req.speIndex].get();
 
-    std::uint32_t h = acquireFlight(sc, std::move(req));
+    std::uint32_t h = acquireFlight(sc, req);
     Flight &f = flight(h);
     f.bank = static_cast<std::uint8_t>(bank);
     f.srcChip = static_cast<std::uint8_t>(sc);
@@ -362,9 +385,9 @@ CellSystem::memGetLand(std::uint32_t h)
         data[0] ^= 0xA5;
     s->ls().write(f.req.lsa, data, f.req.bytes);
     unsigned chip = f.srcChip;
-    auto done = std::move(f.req.done);
+    const spe::LineDone done = f.req.done;
     releaseFlight(h);
-    queue(chip).scheduleAt(done_at, std::move(done));
+    queue(chip).scheduleAt(done_at, done);
 }
 
 void
@@ -442,9 +465,9 @@ CellSystem::memPutBank(std::uint32_t h)
     EffAddr ea = f.req.ea;
     std::uint32_t bytes = f.req.bytes;
     unsigned bank = f.bank;
-    auto done = std::move(f.req.done);
+    const spe::LineDone done = f.req.done;
     releaseFlight(h);
-    memory_->bank(bank).access(ea, bytes, true, std::move(done));
+    memory_->bank(bank).access(ea, bytes, true, done);
 }
 
 void
@@ -491,7 +514,7 @@ CellSystem::memPutFarRide(EffAddr ea, std::uint32_t bytes,
  * slot, cross, and land from that slot on the destination chip.
  */
 void
-CellSystem::routeLocalStore(spe::LineRequest &&req)
+CellSystem::routeLocalStore(const spe::LineRequest &req)
 {
     EffAddr rel = req.ea - lsEaBase;
     auto target_idx = static_cast<unsigned>(rel / lsEaStride);
@@ -509,7 +532,7 @@ CellSystem::routeLocalStore(spe::LineRequest &&req)
     unsigned pc = chipOf(target_idx);
     std::uint32_t bytes = req.bytes;
 
-    std::uint32_t h = acquireFlight(ic, std::move(req));
+    std::uint32_t h = acquireFlight(ic, req);
     Flight &f = flight(h);
     f.srcSpe = static_cast<std::uint16_t>(isGet ? target_idx : issuer);
     f.dstSpe = static_cast<std::uint16_t>(isGet ? issuer : target_idx);
@@ -583,9 +606,9 @@ CellSystem::lsLand(std::uint32_t h)
         data[0] ^= 0xA5;
     dst->ls().write(f.dstLsa, data, f.req.bytes);
     unsigned chip = f.srcChip;
-    auto done = std::move(f.req.done);
+    const spe::LineDone done = f.req.done;
     releaseFlight(h);
-    queue(chip).scheduleAt(done_at, std::move(done));
+    queue(chip).scheduleAt(done_at, done);
 }
 
 void
@@ -649,8 +672,7 @@ CellSystem::lsPutFarLand(std::uint32_t h)
 void
 CellSystem::finishFlight(std::uint32_t h)
 {
-    Flight &f = flight(h);
-    auto done = std::move(f.req.done);
+    const spe::LineDone done = flight(h).req.done;
     releaseFlight(h);
     done();
 }

@@ -29,7 +29,9 @@
  * whole hot path schedules with inline-stored callbacks and recycles
  * storage instead of allocating.  A line that crosses chips keeps its
  * data in its home slot too, so cross-partition messages carry only a
- * few words of routing state.
+ * few words of routing state.  The line's completion (spe::LineDone)
+ * is a plain value copied out of the slot and scheduled as the last
+ * stage, so releasing a slot only relinks its freelist entry.
  *
  * @code
  *   cell::CellConfig cfg;
@@ -121,7 +123,9 @@ class CellSystem
     /**
      * Run the simulation until no events remain.  fatal()s if a
      * launched program has not finished (deadlock); rethrows the first
-     * program exception.
+     * program exception; panic()s if a drained system still holds an
+     * in-flight line, an MFC command, token or tag, or an undelivered
+     * cross-partition message.
      */
     void run();
 
@@ -229,9 +233,19 @@ class CellSystem
         void
         release(std::uint32_t h)
         {
-            slots_[h].req = spe::LineRequest{};
             slots_[h].next = free_;
             free_ = h;
+        }
+
+        /** Slots acquired and not yet released (walks the freelist;
+         *  for the end-of-run drain check). */
+        std::size_t
+        inUse() const
+        {
+            std::size_t free = 0;
+            for (std::uint32_t h = free_; h != kNone; h = slots_[h].next)
+                ++free;
+            return slots_.size() - free;
         }
 
         Flight &operator[](std::uint32_t h) { return slots_[h]; }
@@ -242,11 +256,11 @@ class CellSystem
     };
 
     std::uint32_t
-    acquireFlight(unsigned chip, spe::LineRequest &&req)
+    acquireFlight(unsigned chip, const spe::LineRequest &req)
     {
         std::uint32_t h = arenas_[chip].acquire() |
                           (chip << kChipShift);
-        flight(h).req = std::move(req);
+        flight(h).req = req;
         return h;
     }
 
@@ -265,14 +279,19 @@ class CellSystem
     sim::EventQueue &queue(unsigned chip) { return engine_->queue(chip); }
 
     void buildPlacement(std::uint64_t seed);
-    void routeLine(spe::LineRequest &&req);
+    void routeLine(const spe::LineRequest &req);
+
+    /** End-of-run invariant: every flight slot released, every MFC
+     *  idle, the partitioned engine empty.  panic()s naming the first
+     *  component that is not. */
+    void checkDrained() const;
 
     /** @name Routing stages.  Far-side stages carry their routing
      *        state ({ea, bytes, home and far chips}) by value and touch
      *        the home arena only through their own line's slot. */
     /** @{ */
-    void routeMemory(spe::LineRequest &&req);
-    void routeLocalStore(spe::LineRequest &&req);
+    void routeMemory(const spe::LineRequest &req);
+    void routeLocalStore(const spe::LineRequest &req);
     void memGetAccess(std::uint32_t h);
     void memGetRide(std::uint32_t h);
     void memGetLand(std::uint32_t h);

@@ -1,6 +1,7 @@
 #include "mem/backing_store.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -10,7 +11,8 @@ namespace cellbw::mem
 {
 
 BackingStore::BackingStore(std::uint64_t pageBytes)
-    : pageBytes_(pageBytes)
+    : pageBytes_(pageBytes), pageShift_(std::countr_zero(pageBytes)),
+      pageMask_(pageBytes - 1)
 {
     if (!util::isPow2(pageBytes))
         sim::fatal("backing-store page size must be a power of two");
@@ -19,12 +21,12 @@ BackingStore::BackingStore(std::uint64_t pageBytes)
 std::uint8_t *
 BackingStore::pageFor(EffAddr ea)
 {
-    std::uint64_t pn = ea / pageBytes_;
+    std::uint64_t pn = ea >> pageShift_;
     auto it = pages_.find(pn);
     if (it == pages_.end()) {
-        auto page = std::make_unique<std::uint8_t[]>(pageBytes_);
-        std::memset(page.get(), 0, pageBytes_);
-        it = pages_.emplace(pn, std::move(page)).first;
+        // make_unique<T[]> value-initializes: the page starts zeroed.
+        it = pages_.emplace(pn, std::make_unique<std::uint8_t[]>(pageBytes_))
+                 .first;
     }
     return it->second.get();
 }
@@ -32,8 +34,7 @@ BackingStore::pageFor(EffAddr ea)
 const std::uint8_t *
 BackingStore::pageForRead(EffAddr ea) const
 {
-    std::uint64_t pn = ea / pageBytes_;
-    auto it = pages_.find(pn);
+    auto it = pages_.find(ea >> pageShift_);
     return it == pages_.end() ? nullptr : it->second.get();
 }
 
@@ -42,7 +43,7 @@ BackingStore::write(EffAddr ea, const void *src, std::uint64_t size)
 {
     const auto *p = static_cast<const std::uint8_t *>(src);
     while (size > 0) {
-        std::uint64_t off = ea % pageBytes_;
+        std::uint64_t off = ea & pageMask_;
         std::uint64_t chunk = std::min(size, pageBytes_ - off);
         std::memcpy(pageFor(ea) + off, p, chunk);
         ea += chunk;
@@ -56,7 +57,7 @@ BackingStore::read(EffAddr ea, void *dst, std::uint64_t size) const
 {
     auto *p = static_cast<std::uint8_t *>(dst);
     while (size > 0) {
-        std::uint64_t off = ea % pageBytes_;
+        std::uint64_t off = ea & pageMask_;
         std::uint64_t chunk = std::min(size, pageBytes_ - off);
         const std::uint8_t *page = pageForRead(ea);
         if (page)
@@ -73,7 +74,7 @@ void
 BackingStore::fill(EffAddr ea, std::uint8_t value, std::uint64_t size)
 {
     while (size > 0) {
-        std::uint64_t off = ea % pageBytes_;
+        std::uint64_t off = ea & pageMask_;
         std::uint64_t chunk = std::min(size, pageBytes_ - off);
         std::memset(pageFor(ea) + off, value, chunk);
         ea += chunk;
@@ -85,7 +86,7 @@ std::uint8_t
 BackingStore::byteAt(EffAddr ea) const
 {
     const std::uint8_t *page = pageForRead(ea);
-    return page ? page[ea % pageBytes_] : 0;
+    return page ? page[ea & pageMask_] : 0;
 }
 
 } // namespace cellbw::mem

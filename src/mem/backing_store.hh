@@ -49,6 +49,8 @@ class BackingStore
     const std::uint8_t *pageForRead(EffAddr ea) const;
 
     std::uint64_t pageBytes_;
+    unsigned pageShift_;        ///< log2(pageBytes_)
+    std::uint64_t pageMask_;    ///< pageBytes_ - 1
     std::unordered_map<std::uint64_t,
                        std::unique_ptr<std::uint8_t[]>> pages_;
 };

@@ -102,6 +102,17 @@ class PartitionedEngine
     /** Number of cross-partition messages delivered so far. */
     std::uint64_t messagesDelivered() const { return delivered_; }
 
+    /** Messages posted and not yet handed to their destination queue. */
+    std::size_t undelivered() const { return heap_.size(); }
+
+    /** Slot-store entries holding a closure not yet run.  Both counts
+     *  are zero once run() returns. */
+    std::size_t
+    parkedClosures() const
+    {
+        return slotCount_ - freeSlots_.size();
+    }
+
     void setProfiling(bool on);
 
   private:

@@ -7,6 +7,10 @@
  * each line over the EIB to main memory or a remote local store.  This
  * keeps libcellbw_spe free of a dependency on the interconnect and
  * memory models.
+ *
+ * A LineRequest is trivially copyable: its completion is a LineDone
+ * value ({MFC, command slot, bytes, window}), not a closure, so the
+ * router parks it in a flight slot and schedules it as-is.
  */
 
 #ifndef CELLBW_SPE_DMA_TYPES_HH
@@ -14,9 +18,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
-#include "util/inline_function.hh"
 #include "util/types.hh"
 
 namespace cellbw::spe
@@ -150,6 +154,26 @@ constexpr unsigned numTags = 32;
  */
 constexpr EffAddr lsApertureBase = 1ull << 40;
 
+class Mfc;
+
+/**
+ * Completion of one line, handed back to the MFC that issued it.  A
+ * plain value — the issuing MFC, the command's arena slot, the line's
+ * size and which token window it holds — so a router can copy it
+ * through its stages and into the event queue without type erasure,
+ * relocation or reset.  Calling it releases the line's window token
+ * and credits its bytes (Mfc::lineDone); defined in spe/mfc.hh.
+ */
+struct LineDone
+{
+    Mfc *mfc = nullptr;
+    std::uint32_t command = 0;  ///< issuing command's arena slot
+    std::uint16_t bytes = 0;
+    bool isLs = false;          ///< holds an LS-window slot, not a token
+
+    void operator()() const;
+};
+
 /** A single line-sized piece of a DMA command, ready for routing. */
 struct LineRequest
 {
@@ -160,10 +184,13 @@ struct LineRequest
     std::uint32_t bytes;
     /** Injected fault: the router damages this line's payload. */
     bool corrupt = false;
-    /** Invoked when the line has landed.  Inline storage: completing a
-     *  line back to the MFC performs no allocation. */
-    util::InlineFunction<void()> done;
+    /** Call exactly once, when the line has landed. */
+    LineDone done;
 };
+
+static_assert(std::is_trivially_copyable_v<LineRequest>,
+              "routers copy line requests through flight slots and "
+              "event captures");
 
 using LineHandler = std::function<void(LineRequest &&)>;
 

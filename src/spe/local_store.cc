@@ -1,6 +1,9 @@
 #include "spe/local_store.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -11,12 +14,27 @@ namespace cellbw::spe
 
 LocalStore::LocalStore(std::string name, sim::EventQueue &eq,
                        const LocalStoreParams &params)
-    : sim::SimObject(std::move(name), eq), params_(params),
-      data_(params.sizeBytes, 0)
+    : sim::SimObject(std::move(name), eq), params_(params)
 {
     if (params_.bytesPerCycle == 0)
         sim::fatal("%s: LS port width must be positive",
                    this->name().c_str());
+    if (params_.sizeBytes == 0)
+        return;
+    void *p = mmap(nullptr, params_.sizeBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+        sim::fatal("%s: cannot map a %u-byte local store: %s",
+                   this->name().c_str(), params_.sizeBytes,
+                   std::strerror(errno));
+    }
+    data_ = static_cast<std::uint8_t *>(p);
+}
+
+LocalStore::~LocalStore()
+{
+    if (data_)
+        munmap(data_, params_.sizeBytes);
 }
 
 void
@@ -32,21 +50,21 @@ void
 LocalStore::write(LsAddr lsa, const void *src, std::uint32_t size)
 {
     checkRange(lsa, size);
-    std::memcpy(data_.data() + lsa, src, size);
+    std::memcpy(data_ + lsa, src, size);
 }
 
 void
 LocalStore::read(LsAddr lsa, void *dst, std::uint32_t size) const
 {
     checkRange(lsa, size);
-    std::memcpy(dst, data_.data() + lsa, size);
+    std::memcpy(dst, data_ + lsa, size);
 }
 
 void
 LocalStore::fill(LsAddr lsa, std::uint8_t value, std::uint32_t size)
 {
     checkRange(lsa, size);
-    std::memset(data_.data() + lsa, value, size);
+    std::memset(data_ + lsa, value, size);
 }
 
 std::uint8_t

@@ -6,13 +6,18 @@
  * SPU's loads/stores and the MFC's DMA traffic (on real hardware the MFC
  * has priority; here the port simply serializes, which is equivalent for
  * sustained-bandwidth purposes).
+ *
+ * Storage is a private anonymous mapping: the kernel supplies zero
+ * pages on first touch, so constructing an LS writes no bytes and a run
+ * pays only for the pages its DMA and SPU code actually touch (most
+ * experiments use a few tens of KiB of each 256 KiB store).  Untouched
+ * bytes read as zero, as they did with eagerly zeroed storage.
  */
 
 #ifndef CELLBW_SPE_LOCAL_STORE_HH
 #define CELLBW_SPE_LOCAL_STORE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/sim_object.hh"
 #include "util/types.hh"
@@ -34,6 +39,7 @@ class LocalStore : public sim::SimObject
   public:
     LocalStore(std::string name, sim::EventQueue &eq,
                const LocalStoreParams &params);
+    ~LocalStore() override;
 
     std::uint32_t size() const { return params_.sizeBytes; }
 
@@ -60,7 +66,8 @@ class LocalStore : public sim::SimObject
     void checkRange(LsAddr lsa, std::uint32_t size) const;
 
     LocalStoreParams params_;
-    std::vector<std::uint8_t> data_;
+    /** sizeBytes of zero-on-first-touch mapping (nullptr if empty). */
+    std::uint8_t *data_ = nullptr;
     Tick portFreeAt_ = 0;
     std::uint64_t bytesAccessed_ = 0;
 };

@@ -1,10 +1,12 @@
 #include "spe/mfc.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 #include "stats/metrics.hh"
 #include "util/align.hh"
+#include "util/strings.hh"
 
 namespace cellbw::spe
 {
@@ -36,17 +38,26 @@ Mfc::Mfc(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
     for (std::size_t i = slots; i-- > 0;)
         freeSlots_.push_back(&slotStore_[i]);
     queue_.reserve(slots);
-    active_.resize(slots, nullptr);
+    active_.resize(std::bit_ceil(slots), nullptr);
+    activeMask_ = static_cast<std::uint32_t>(active_.size() - 1);
 }
 
-std::uint32_t
-Mfc::tagsPendingMask() const
+std::string
+Mfc::drainReport() const
 {
-    std::uint32_t mask = 0;
-    for (unsigned t = 0; t < numTags; ++t)
-        if (tagPending_[t])
-            mask |= 1u << t;
-    return mask;
+    std::string why;
+    auto note = [&why](const std::string &part) {
+        why += why.empty() ? part : ", " + part;
+    };
+    if (!queue_.empty())
+        note(util::format("%zu command(s) queued", queue_.size()));
+    if (memLinesInFlight_)
+        note(util::format("%u memory token(s) held", memLinesInFlight_));
+    if (lsLinesInFlight_)
+        note(util::format("%u LS-window line(s) held", lsLinesInFlight_));
+    if (tagPendingMask_)
+        note(util::format("tag mask 0x%08x pending", tagPendingMask_));
+    return why;
 }
 
 MfcError
@@ -150,6 +161,7 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
         depthHist_.resize(depth + 1, 0);
     ++depthHist_[depth];
     ++tagPending_[tag];
+    tagPendingMask_ |= 1u << tag;
     scheduleIssue();
     return true;
 }
@@ -317,22 +329,30 @@ Mfc::tryIssueLines()
     // Round-robin over active commands, skipping those whose next line
     // has no token (memory) or window slot (LS) available, so LS
     // traffic is never head-of-line-blocked behind memory traffic or
-    // vice versa.
-    std::size_t attempts = activeCount_;
+    // vice versa.  Each attempt sends one line or rotates one blocked
+    // command to the back of the ring.
+    std::uint32_t attempts = activeCount_;
     while (attempts-- > 0 && activeCount_ > 0) {
-        Command *c = active_[activeHead_];
-
-        const ListElement &seg = c->segs[c->nextSeg];
-        bool is_ls = seg.ea >= lsApertureBase;
+        if (allActiveBlocked()) {
+            // Every attempt left would only rotate a blocked command:
+            // make those rotations in one step, modulo the ring size
+            // (normally a whole number of turns, i.e. none).
+            std::uint32_t turns = attempts + 1;
+            while (turns >= activeCount_)
+                turns -= activeCount_;
+            while (turns-- > 0)
+                activePushBack(activePopFront());
+            return;
+        }
+        Command *c = activePopFront();
+        const bool is_ls = c->nextLs;
         if (is_ls ? (lsLinesInFlight_ >= params_.lsLines)
                   : (memLinesInFlight_ >= params_.memoryTokens)) {
-            // Rotate and try another command.
-            activePopFront();
-            activePushBack(c);
+            activePushBack(c);          // rotate and try another command
             continue;
         }
-        activePopFront();
 
+        const ListElement &seg = c->segs[c->nextSeg];
         if (c->isList && c->segOffset == 0) {
             c->lsaCursor =
                 static_cast<LsAddr>(util::roundUp(c->lsaCursor, 16));
@@ -351,7 +371,9 @@ Mfc::tryIssueLines()
             req.corrupt = true;
             c->corruptPending = false;
         }
-        req.done = [this, c, chunk, is_ls] { lineDone(c, chunk, is_ls); };
+        req.done = LineDone{this,
+                            static_cast<std::uint32_t>(c - slotStore_.data()),
+                            static_cast<std::uint16_t>(chunk), is_ls};
 
         c->segOffset += chunk;
         c->lsaCursor += chunk;
@@ -378,8 +400,9 @@ Mfc::tryIssueLines()
 }
 
 void
-Mfc::lineDone(Command *c, std::uint32_t bytes, bool isLs)
+Mfc::lineDone(std::uint32_t slot, std::uint32_t bytes, bool isLs)
 {
+    Command *c = &slotStore_[slot];
     if (isLs)
         --lsLinesInFlight_;
     else
@@ -426,7 +449,8 @@ Mfc::finalizeCompletion(Command *c)
     }
     if (tagPending_[c->tag] == 0)
         sim::panic("%s: tag %u underflow", name().c_str(), c->tag);
-    --tagPending_[c->tag];
+    if (--tagPending_[c->tag] == 0)
+        tagPendingMask_ &= ~(1u << c->tag);
     ++commandsCompleted_;
     if (c->isProxy)
         --proxyCount_;

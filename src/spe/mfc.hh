@@ -22,6 +22,14 @@
  *    bandwidth near 10 GB/s regardless of element size — Figure 8;
  *  - lines of issued commands interleave round-robin, so transfers
  *    complete out of order like real MFC transfer-class behaviour.
+ *
+ * Host cost per line is O(1): the round-robin ring is a power-of-two
+ * array indexed by mask; when every active command is blocked on a
+ * full window, the rotation the remaining attempts would have made is
+ * applied in one step (the line schedule is the same as rotating one
+ * command at a time); each line carries a plain LineDone value back to
+ * lineDone(); and the pending-tag mask is updated on enqueue and
+ * completion.
  */
 
 #ifndef CELLBW_SPE_MFC_HH
@@ -30,6 +38,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -307,7 +316,15 @@ class Mfc : public sim::SimObject
     bool queueFull() const { return queueFree() == 0; }
 
     /** Bitmask of tag groups with incomplete commands. */
-    std::uint32_t tagsPendingMask() const;
+    std::uint32_t tagsPendingMask() const { return tagPendingMask_; }
+
+    /**
+     * Empty if the MFC is idle — no queued command, no line holding a
+     * memory token or LS-window slot, no pending tag — else what is
+     * left, for the end-of-run drain check.  A non-empty report after
+     * the event queue has drained means a line completion was lost.
+     */
+    std::string drainReport() const;
 
     /** Awaitable: resumes once at least one queue slot is free (and
      *  reserved for this waiter). */
@@ -408,6 +425,8 @@ class Mfc : public sim::SimObject
     unsigned speIndex() const { return speIndex_; }
 
   private:
+    friend struct LineDone;
+
     struct Command
     {
         DmaDir dir;
@@ -434,6 +453,8 @@ class Mfc : public sim::SimObject
         Tick extraDelay = 0;
         /** Corruption is applied to exactly one line. */
         bool corruptPending = false;
+        /** While in the active ring: its next line targets an LS. */
+        bool nextLs = false;
     };
 
     bool enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
@@ -449,7 +470,7 @@ class Mfc : public sim::SimObject
     void scheduleIssue();
     void finishIssue(Command *c);
     void tryIssueLines();
-    void lineDone(Command *c, std::uint32_t bytes, bool isLs);
+    void lineDone(std::uint32_t slot, std::uint32_t bytes, bool isLs);
     void commandComplete(Command *c);
     void finalizeCompletion(Command *c);
     void wakeWaiters();
@@ -475,27 +496,44 @@ class Mfc : public sim::SimObject
     std::vector<Command *> queue_;
 
     /**
-     * Issued commands with lines left to send, in round-robin order:
-     * a fixed-capacity ring (capacity = combined queue depth).
+     * Issued commands with lines left to send, in round-robin order: a
+     * ring whose power-of-two capacity (>= the combined queue depth)
+     * is indexed by mask.  activeLs_ counts the ring's commands whose
+     * next line targets an LS, so "every command is blocked" is O(1).
      */
     std::vector<Command *> active_;
-    std::size_t activeHead_ = 0;
-    std::size_t activeCount_ = 0;
+    std::uint32_t activeMask_ = 0;
+    std::uint32_t activeHead_ = 0;
+    std::uint32_t activeCount_ = 0;
+    std::uint32_t activeLs_ = 0;
 
     Command *
     activePopFront()
     {
         Command *c = active_[activeHead_];
-        activeHead_ = (activeHead_ + 1) % active_.size();
+        activeHead_ = (activeHead_ + 1) & activeMask_;
         --activeCount_;
+        activeLs_ -= c->nextLs;
         return c;
     }
 
     void
     activePushBack(Command *c)
     {
-        active_[(activeHead_ + activeCount_) % active_.size()] = c;
+        c->nextLs = c->segs[c->nextSeg].ea >= lsApertureBase;
+        active_[(activeHead_ + activeCount_) & activeMask_] = c;
         ++activeCount_;
+        activeLs_ += c->nextLs;
+    }
+
+    /** True iff no active command's next line has a free window slot
+     *  (a window no command waits on counts as blocked). */
+    bool
+    allActiveBlocked() const
+    {
+        return (memLinesInFlight_ >= params_.memoryTokens ||
+                activeLs_ == activeCount_) &&
+               (lsLinesInFlight_ >= params_.lsLines || activeLs_ == 0);
     }
 
     Tick issueFreeAt_ = 0;
@@ -516,6 +554,7 @@ class Mfc : public sim::SimObject
     };
     std::vector<TagWaiter> tagWaiters_;
     unsigned tagPending_[numTags] = {};
+    std::uint32_t tagPendingMask_ = 0;
 
     std::uint64_t bytesTransferred_ = 0;
     std::uint64_t commandsCompleted_ = 0;
@@ -531,6 +570,12 @@ class Mfc : public sim::SimObject
     std::uint64_t corruptionsInjected_ = 0;
     std::uint64_t delaysInjected_ = 0;
 };
+
+inline void
+LineDone::operator()() const
+{
+    mfc->lineDone(command, bytes, isLs);
+}
 
 } // namespace cellbw::spe
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -95,4 +98,43 @@ TEST_F(LsFixture, ZeroWidthPortIsFatal)
 {
     params.bytesPerCycle = 0;
     EXPECT_THROW(make(), sim::FatalError);
+}
+
+namespace
+{
+
+/** Resident set size of this process, in bytes (Linux /proc). */
+std::uint64_t
+residentBytes()
+{
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    if (!f)
+        return 0;
+    unsigned long size = 0, resident = 0;
+    const int got = std::fscanf(f, "%lu %lu", &size, &resident);
+    std::fclose(f);
+    return got == 2 ? resident * static_cast<std::uint64_t>(
+                                     sysconf(_SC_PAGESIZE))
+                    : 0;
+}
+
+} // namespace
+
+TEST_F(LsFixture, UntouchedStoreReadsZeroAndStaysNonResident)
+{
+    // A 64 MiB store: eager zeroing would make all of it resident.
+    params.sizeBytes = 64u * 1024 * 1024;
+    const std::uint64_t before = residentBytes();
+    if (before == 0)
+        GTEST_SKIP() << "no /proc/self/statm";
+    auto ls = make();
+    EXPECT_EQ(ls->byteAt(0), 0u);
+    EXPECT_EQ(ls->byteAt(params.sizeBytes - 1), 0u);
+    EXPECT_LT(residentBytes(), before + 16u * 1024 * 1024)
+        << "constructing an LS must not write its storage";
+
+    // Written bytes stick; their neighbours still read zero.
+    ls->fill(params.sizeBytes / 2, 0x3C, 64);
+    EXPECT_EQ(ls->byteAt(params.sizeBytes / 2 + 63), 0x3C);
+    EXPECT_EQ(ls->byteAt(params.sizeBytes / 2 + 64), 0u);
 }

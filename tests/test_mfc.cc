@@ -513,3 +513,135 @@ TEST_F(MfcFixture, NoHandlerIsFatal)
     auto mfc = std::make_unique<spe::Mfc>("m", eq, clock, params, 0);
     EXPECT_THROW(mfc->get(0, 0x1000, 128, 0), sim::FatalError);
 }
+
+namespace
+{
+
+/** Completes memory and LS lines after different delays and records
+ *  the EA of every line in the order the MFC hands it over. */
+struct ScheduleRouter
+{
+    sim::EventQueue &eq;
+    std::vector<EffAddr> order = {};
+
+    void
+    operator()(spe::LineRequest &&req)
+    {
+        order.push_back(req.ea);
+        auto done = std::move(req.done);
+        Tick delay = req.ea >= spe::lsApertureBase ? 30 : 150;
+        eq.schedule(delay, [done = std::move(done)] { done(); });
+    }
+};
+
+} // namespace
+
+TEST_F(MfcFixture, MixedWindowsKeepTheirLineSchedule)
+{
+    // Two memory tokens and one LS-window slot keep both windows full
+    // most of the time, so the ring keeps rotating blocked commands
+    // past each other; the exact line order pins that rotation.  One
+    // list mixes memory and LS elements, so a command's window changes
+    // while it sits in the ring.
+    params.memoryTokens = 2;
+    params.lsLines = 1;
+    const EffAddr ls = spe::lsApertureBase;
+    ScheduleRouter r{eq};
+    auto mfc = std::make_unique<spe::Mfc>("mfc", eq, clock, params, 0);
+    mfc->setLineHandler(std::ref(r));
+    ASSERT_TRUE(mfc->get(0x0000, 0x10000, 512, 0));
+    ASSERT_TRUE(mfc->get(0x1000, ls + 0x4000, 384, 1));
+    ASSERT_TRUE(mfc->getList(0x2000,
+                             {{0x20000, 256}, {ls + 0x8000, 256},
+                              {0x30000, 128}},
+                             2));
+    ASSERT_TRUE(mfc->put(0x3000, ls + 0xC000, 256, 3));
+    ASSERT_TRUE(mfc->put(0x4000, 0x40000, 256, 4));
+    eq.run();
+
+    const std::vector<EffAddr> want = {
+        0x10000,      0x10080,      ls + 0x4000,  ls + 0x4080,
+        ls + 0x4100,  0x10100,      0x20000,      ls + 0xC000,
+        ls + 0xC080,  0x20080,      ls + 0x8000,  0x40000,
+        ls + 0x8080,  0x10180,      0x40080,      0x30000,
+    };
+    EXPECT_EQ(r.order, want);
+    EXPECT_EQ(mfc->commandsCompleted(), 5u);
+    EXPECT_EQ(mfc->bytesTransferred(), 2048u);
+}
+
+TEST_F(MfcFixture, TagMaskAfterEveryKindOfCompletion)
+{
+    // Normal completion: pending while in flight, clear once done.
+    auto mfc = make();
+    ASSERT_TRUE(mfc->get(0, 0x10000, 256, 1));
+    EXPECT_EQ(mfc->tagsPendingMask(), 1u << 1);
+    eq.run();
+    EXPECT_EQ(mfc->tagsPendingMask(), 0u);
+
+    // Rejected command: never pends, even beside a pending one.
+    ASSERT_TRUE(mfc->get(0, 0x10000, 128, 2));
+    EXPECT_FALSE(mfc->get(0, 0x10000, 100, 3));
+    EXPECT_EQ(mfc->tagsPendingMask(), 1u << 2);
+    eq.run();
+    EXPECT_EQ(mfc->tagsPendingMask(), 0u);
+
+    // Dropped command: pends until its (dataless) completion.
+    params.faults.dropRate = 1.0;
+    auto dropper = make();
+    ASSERT_TRUE(dropper->get(0, 0x10000, 128, 4));
+    ASSERT_TRUE(dropper->get(128, 0x20000, 128, 5));
+    EXPECT_EQ(dropper->tagsPendingMask(), (1u << 4) | (1u << 5));
+    eq.run();
+    EXPECT_EQ(dropper->tagsPendingMask(), 0u);
+    EXPECT_EQ(dropper->dropsInjected(), 2u);
+
+    // Delayed command: its data lands on time, its tag clears late.
+    params.faults = {};
+    params.faults.delayRate = 1.0;
+    params.faults.delayTicks = 5000;
+    auto delayer = make();
+    ASSERT_TRUE(delayer->get(0, 0x10000, 128, 6));
+    eq.runUntil(eq.now() + 2000);
+    EXPECT_EQ(delayer->bytesTransferred(), 128u);
+    EXPECT_EQ(delayer->tagsPendingMask(), 1u << 6);
+    eq.run();
+    EXPECT_EQ(delayer->tagsPendingMask(), 0u);
+    EXPECT_EQ(delayer->commandsCompleted(), 1u);
+}
+
+TEST_F(MfcFixture, SwallowedLineLeavesTheMfcUndrained)
+{
+    // A router that loses the completion of the first line it sees:
+    // the MFC must report, by name, what that line still holds.
+    struct LossyRouter
+    {
+        sim::EventQueue &eq;
+        bool swallowed = false;
+
+        void
+        operator()(spe::LineRequest &&req)
+        {
+            auto done = std::move(req.done);
+            if (!swallowed) {
+                swallowed = true;
+                return;
+            }
+            eq.schedule(50, [done = std::move(done)] { done(); });
+        }
+    } lossy{eq};
+
+    auto healthy = make();
+    healthy->get(0, 0x10000, 1024, 2);
+    eq.run();
+    EXPECT_EQ(healthy->drainReport(), "");
+
+    auto mfc = std::make_unique<spe::Mfc>("mfc", eq, clock, params, 0);
+    mfc->setLineHandler(std::ref(lossy));
+    mfc->get(0, 0x10000, 1024, 5);
+    eq.run();
+    EXPECT_EQ(mfc->linesSent(), 8u);
+    EXPECT_EQ(mfc->drainReport(),
+              "1 command(s) queued, 1 memory token(s) held, "
+              "tag mask 0x00000020 pending");
+}
