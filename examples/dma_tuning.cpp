@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "cell/cell_system.hh"
-#include "core/advisor.hh"
 #include "core/dma_workloads.hh"
 #include "util/strings.hh"
 
@@ -90,18 +89,5 @@ main()
                     "peak)\n",
                     s.name, bw, bw / naive, 100.0 * bw / 33.6);
     }
-
-    std::printf("\nWhat the advisor says about the naive plan:\n");
-    core::DmaPlan plan;
-    plan.elemBytes = 512;
-    plan.useList = false;
-    plan.syncEvery = 1;
-    plan.speToSpe = true;
-    std::printf("%s", core::renderAdvice(core::advise(plan)).c_str());
-
-    std::printf("\n...and about the tuned plan:\n");
-    plan.useList = true;
-    plan.syncEvery = 0;
-    std::printf("%s", core::renderAdvice(core::advise(plan)).c_str());
     return 0;
 }

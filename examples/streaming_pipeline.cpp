@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "cell/cell_system.hh"
-#include "core/advisor.hh"
 #include "sim/task.hh"
 #include "util/strings.hh"
 
@@ -152,13 +151,6 @@ main()
 
     std::printf("  1 stream  x 8 SPEs : %6.2f GB/s of payload\n", one);
     std::printf("  2 streams x 4 SPEs : %6.2f GB/s of payload\n", two);
-    std::printf("  ratio             : %.2fx\n\n", two / one);
-
-    core::DmaPlan plan;
-    plan.elemBytes = chunkBytes;
-    plan.spesPerStream = 8;
-    plan.streams = 1;
-    std::printf("advisor on the 1x8 plan:\n%s",
-                core::renderAdvice(core::advise(plan)).c_str());
+    std::printf("  ratio             : %.2fx\n", two / one);
     return 0;
 }

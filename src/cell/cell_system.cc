@@ -210,20 +210,6 @@ CellSystem::lsEa(unsigned logical, LsAddr lsa) const
     return lsEaBase + static_cast<EffAddr>(logical) * lsEaStride + lsa;
 }
 
-trace::Recorder &
-CellSystem::enableTracing()
-{
-    if (!recorder_) {
-        recorder_ = std::make_unique<trace::Recorder>();
-        recorder_->setCapacity(cfg_.traceCapacity);
-        for (auto &s : spes_)
-            s->mfc().setRecorder(recorder_.get());
-        for (unsigned c = 0; c < eibs_.size(); ++c)
-            eibs_[c]->setRecorder(recorder_.get(), c);
-    }
-    return *recorder_;
-}
-
 void
 CellSystem::launch(sim::Task task)
 {
@@ -749,10 +735,6 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
     for (unsigned s = 0; s < spes_.size(); ++s) {
         spes_[s]->mfc().registerMetrics(
             reg, util::format("spe%u.mfc", s));
-    }
-    if (recorder_) {
-        reg.counter("trace.dma_dropped").add(recorder_->dmaDropped());
-        reg.counter("trace.eib_dropped").add(recorder_->eibDropped());
     }
     if (cfg_.simProfile) {
         std::array<sim::EventQueue::TagProfile,

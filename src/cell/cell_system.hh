@@ -53,7 +53,6 @@
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/task.hh"
-#include "trace/recorder.hh"
 
 namespace cellbw::stats
 {
@@ -128,15 +127,6 @@ class CellSystem
      * cross-partition message.
      */
     void run();
-
-    /**
-     * Turn on event tracing: every MFC command and EIB packet from now
-     * on is recorded.  @return the recorder for CSV dumps / timelines.
-     */
-    trace::Recorder &enableTracing();
-
-    /** The recorder, or nullptr when tracing is off. */
-    trace::Recorder *recorder() { return recorder_.get(); }
 
     /**
      * Accumulate every component's utilization counters into @p reg
@@ -340,7 +330,6 @@ class CellSystem
     std::vector<FlightArena> arenas_;        // one per chip
     std::vector<std::uint32_t> placement_;   // logical -> physical SPE
     std::vector<sim::Task> programs_;
-    std::unique_ptr<trace::Recorder> recorder_;
     VerifyStats verifyStats_;
 };
 

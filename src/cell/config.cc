@@ -1,5 +1,7 @@
 #include "cell/config.hh"
 
+#include <cmath>
+
 #include "sim/logging.hh"
 #include "util/strings.hh"
 
@@ -13,6 +15,34 @@ double
 bytesPerTick(double gbps, double cpuHz)
 {
     return gbps * 1e9 / cpuHz;
+}
+
+/** Read the bandwidth flag @p flag (GB/s) as bytes per tick at
+ *  @p cpuHz: it must be finite and > 0. */
+double
+rateBytesPerTick(const util::Options &opts, const char *flag,
+                 double cpuHz)
+{
+    double gbps = opts.getDouble(flag);
+    if (!std::isfinite(gbps) || gbps <= 0.0)
+        sim::fatal("--%s must be finite and > 0 (got %g)", flag, gbps);
+    return bytesPerTick(gbps, cpuHz);
+}
+
+/** Read the latency flag @p flag (ns) as ticks of @p clock: it must be
+ *  finite, >= 0 and small enough for a 64-bit tick count. */
+Tick
+latencyTicks(const util::Options &opts, const char *flag,
+             const sim::ClockSpec &clock)
+{
+    double ns = opts.getDouble(flag);
+    if (!std::isfinite(ns) || ns < 0.0)
+        sim::fatal("--%s must be finite and >= 0 (got %g)", flag, ns);
+    if (ns * 1e-9 * clock.cpuHz >= 0x1p63) {
+        sim::fatal("--%s %g ns overflows the tick count at %g GHz", flag,
+                   ns, clock.cpuHz / 1e9);
+    }
+    return clock.fromNs(ns);
 }
 
 } // namespace
@@ -165,8 +195,6 @@ CellConfig::registerOptions(util::Options &opts)
                  "base seed of the fault-injection generators");
     opts.addBool("verify", false,
                  "cross-check every DMA against the backing store");
-    opts.addUint("trace-capacity", 0,
-                 "max retained trace records per kind (0 = unbounded)");
     opts.addBool("sim-profile", false,
                  "book per-component event counts and self-time into "
                  "the report");
@@ -176,7 +204,10 @@ CellConfig
 CellConfig::fromOptions(const util::Options &opts)
 {
     CellConfig cfg;
-    cfg.clock.cpuHz = opts.getDouble("cpu-ghz") * 1e9;
+    const double ghz = opts.getDouble("cpu-ghz");
+    cfg.clock.cpuHz = ghz * 1e9;
+    if (!std::isfinite(cfg.clock.cpuHz) || cfg.clock.cpuHz <= 0.0)
+        sim::fatal("--cpu-ghz must be finite and > 0 (got %g)", ghz);
     cfg.numChips = static_cast<unsigned>(opts.getUint("chips"));
     if (cfg.numChips < 1) {
         sim::fatal("--chips must be at least 1");
@@ -215,27 +246,27 @@ CellConfig::fromOptions(const util::Options &opts)
         opts.getUint("dma-list-elem-overhead");
 
     cfg.memory.bank0.bytesPerTick =
-        bytesPerTick(opts.getDouble("bank0-gbps"), cfg.clock.cpuHz);
+        rateBytesPerTick(opts, "bank0-gbps", cfg.clock.cpuHz);
     cfg.memory.bank1.bytesPerTick =
-        bytesPerTick(opts.getDouble("bank1-gbps"), cfg.clock.cpuHz);
+        rateBytesPerTick(opts, "bank1-gbps", cfg.clock.cpuHz);
     cfg.memory.ioLink.bytesPerTick =
-        bytesPerTick(opts.getDouble("io-gbps"), cfg.clock.cpuHz);
+        rateBytesPerTick(opts, "io-gbps", cfg.clock.cpuHz);
     cfg.memory.ioLink.crossingLatency =
-        cfg.clock.fromNs(opts.getDouble("ioif-latency"));
+        latencyTicks(opts, "ioif-latency", cfg.clock);
     cfg.memory.bladeLink.bytesPerTick =
-        bytesPerTick(opts.getDouble("blade-link-gbps"), cfg.clock.cpuHz);
+        rateBytesPerTick(opts, "blade-link-gbps", cfg.clock.cpuHz);
     cfg.memory.bladeLink.crossingLatency =
-        cfg.clock.fromNs(opts.getDouble("blade-latency"));
+        latencyTicks(opts, "blade-latency", cfg.clock);
     cfg.memory.numChips = cfg.numChips;
     cfg.memory.numBlades = cfg.numBlades;
     cfg.memory.bank0.accessLatency =
-        cfg.clock.fromNs(opts.getDouble("mem-latency-ns"));
+        latencyTicks(opts, "mem-latency-ns", cfg.clock);
     cfg.memory.bank1.accessLatency = cfg.memory.bank0.accessLatency;
     cfg.memory.bank0.rowTiming = opts.getBool("mem-row-timing");
     cfg.memory.bank0.rowHitLatency =
-        cfg.clock.fromNs(opts.getDouble("mem-row-hit-ns"));
+        latencyTicks(opts, "mem-row-hit-ns", cfg.clock);
     cfg.memory.bank0.rowMissPenalty =
-        cfg.clock.fromNs(opts.getDouble("mem-row-miss-ns"));
+        latencyTicks(opts, "mem-row-miss-ns", cfg.clock);
     cfg.memory.bank0.rowBytes = opts.getUint("mem-row-bytes");
     cfg.memory.bank1.rowTiming = cfg.memory.bank0.rowTiming;
     cfg.memory.bank1.rowHitLatency = cfg.memory.bank0.rowHitLatency;
@@ -244,8 +275,10 @@ CellConfig::fromOptions(const util::Options &opts)
 
     const std::string &numa = opts.getString("numa");
     if (numa == "interleave") {
-        cfg.numa = mem::NumaPolicy::interleave(
-            opts.getDouble("bank0-share"));
+        const double share = opts.getDouble("bank0-share");
+        if (!(share >= 0.0 && share <= 1.0))
+            sim::fatal("--bank0-share must be in [0, 1] (got %g)", share);
+        cfg.numa = mem::NumaPolicy::interleave(share);
     } else if (numa == "local") {
         cfg.numa = mem::NumaPolicy::local();
     } else if (numa == "remote") {
@@ -262,7 +295,7 @@ CellConfig::fromOptions(const util::Options &opts)
     faults.dropRate = opts.getDouble("fault-drop-rate");
     faults.corruptRate = opts.getDouble("fault-corrupt-rate");
     faults.delayRate = opts.getDouble("fault-delay-rate");
-    faults.delayTicks = cfg.clock.fromNs(opts.getDouble("fault-delay-ns"));
+    faults.delayTicks = latencyTicks(opts, "fault-delay-ns", cfg.clock);
     faults.seed = opts.getUint("fault-seed");
     if (faults.dropRate < 0.0 || faults.corruptRate < 0.0 ||
         faults.delayRate < 0.0 ||
@@ -270,7 +303,6 @@ CellConfig::fromOptions(const util::Options &opts)
         sim::fatal("--fault-*-rate values must be >= 0 and sum to <= 1");
     }
     cfg.verify = opts.getBool("verify");
-    cfg.traceCapacity = opts.getUint("trace-capacity");
     cfg.simProfile = opts.getBool("sim-profile");
     return cfg;
 }

@@ -31,13 +31,13 @@ enum class AffinityPolicy
 };
 
 /**
- * Cluster-level work placement policy: which chip's SPEs a task (or a
- * stencil rank) should run on relative to the memory it touches.
+ * Cluster-level work placement policy: which chip's SPEs a stencil
+ * rank should run on relative to the memory it touches.
  */
 enum class TaskPlacement
 {
-    RoundRobin,  ///< spread tasks over the chips in dispatch order
-    Locality,    ///< run each task on the chip that owns its pages
+    RoundRobin,  ///< spread ranks over the chips in rank order
+    Locality,    ///< run each rank on the chip that owns its pages
 };
 
 struct CellConfig
@@ -76,7 +76,10 @@ struct CellConfig
 
     AffinityPolicy affinity = AffinityPolicy::Random;
 
-    /** Cluster work placement for the offload runtime / stencils. */
+    /**
+     * Cluster work placement (--placement).  No experiment reads it:
+     * cluster_halo sweeps both policies through core::HaloConfig.
+     */
     TaskPlacement placement = TaskPlacement::RoundRobin;
 
     /**
@@ -85,13 +88,6 @@ struct CellConfig
      * knobs live in spe.mfc.faults (--fault-* flags).
      */
     bool verify = false;
-
-    /**
-     * Bound on the trace recorder's retained records per record kind
-     * (--trace-capacity); oldest records are evicted beyond it.
-     * 0 keeps everything.
-     */
-    std::uint64_t traceCapacity = 0;
 
     /**
      * Book per-component event counts and dispatch self-time into the

@@ -75,7 +75,14 @@ runExperimentCli(const std::string &name, int argc,
     ExperimentContext ctx(e->name, e->description, e->backend);
     if (!ctx.parse(argc, argv))
         return 1;
-    return e->body(ctx);
+    // A config the components reject (say --rings 0) throws from the
+    // body; report it like a bad flag instead of terminating.
+    try {
+        return e->body(ctx);
+    } catch (const sim::FatalError &err) {
+        std::fprintf(stderr, "%s: %s\n", e->name.c_str(), err.what());
+        return 1;
+    }
 }
 
 } // namespace cellbw::core

@@ -111,13 +111,8 @@ Eib::reserveTransfer(RampPos src, RampPos dst, std::uint32_t bytes)
     bytesMoved_ += bytes;
     ++packets_;
 
-    Tick arrival = best_start + occ +
-                   clock_.busCycles(params_.hopLatencyBus) * best_hops;
-    if (recorder_) {
-        recorder_->eib({curTick(), best_start, arrival, chip_,
-                        best->index(), src, dst, bytes});
-    }
-    return arrival;
+    return best_start + occ +
+           clock_.busCycles(params_.hopLatencyBus) * best_hops;
 }
 
 void

@@ -129,7 +129,6 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
     c->order = order;
     c->lsaStart = lsa;
     c->lsaCursor = lsa;
-    c->enqueuedAt = curTick();
     for (const auto &seg : segs)
         c->totalBytes += seg.size;
     c->segs = std::move(segs);
@@ -309,7 +308,6 @@ void
 Mfc::finishIssue(Command *c)
 {
     c->issued = true;
-    c->issuedAt = curTick();
     issueInProgress_ = false;
     if (c->injected == MfcError::Dropped) {
         // The command occupied the issue engine but its lines are lost:
@@ -436,11 +434,6 @@ Mfc::finalizeCompletion(Command *c)
     if (c->injected != MfcError::None) {
         recordFault(c->dir, c->isList, c->isProxy, c->lsaStart,
                     c->segs.toVector(), c->tag, c->injected);
-    }
-    if (recorder_) {
-        recorder_->dma({c->enqueuedAt, c->issuedAt, curTick(),
-                        speIndex_, c->dir, c->tag, c->totalBytes,
-                        c->isList, c->isProxy, c->injected});
     }
     if (completionHook_) {
         completionHook_({speIndex_, c->tag, c->dir, c->isList,

@@ -46,7 +46,6 @@
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "spe/dma_types.hh"
-#include "trace/recorder.hh"
 
 namespace cellbw::stats
 {
@@ -130,9 +129,6 @@ class Mfc : public sim::SimObject
 
     /** Install the system-level router for line requests. */
     void setLineHandler(LineHandler handler) { handler_ = std::move(handler); }
-
-    /** Attach an event recorder (nullptr disables tracing). */
-    void setRecorder(trace::Recorder *recorder) { recorder_ = recorder; }
 
     /** CBEA tag-group ordering attached to a command. */
     enum class Order
@@ -444,8 +440,6 @@ class Mfc : public sim::SimObject
         bool issued = false;
         bool allLinesIssued = false;
         bool done = false;
-        Tick enqueuedAt = 0;
-        Tick issuedAt = 0;
         std::uint32_t totalBytes = 0;
         /** Injected fate, drawn at enqueue (None = clean command). */
         MfcError injected = MfcError::None;
@@ -479,7 +473,6 @@ class Mfc : public sim::SimObject
     MfcParams params_;
     unsigned speIndex_;
     LineHandler handler_;
-    trace::Recorder *recorder_ = nullptr;
 
     /**
      * Command storage: a fixed arena sized to the combined SPU+proxy

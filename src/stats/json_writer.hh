@@ -2,12 +2,11 @@
  * @file
  * A small hand-rolled JSON writer.
  *
- * The bench binaries emit machine-readable results (--json) and the
- * trace recorder emits Chrome-trace files; both need strictly valid
- * JSON without pulling in an external dependency.  JsonWriter is a
- * push-style serializer: begin/end objects and arrays, write keys and
- * typed values, and it takes care of commas, escaping, and number
- * formatting.
+ * Reports (--json), the result cache and the serve daemon all need
+ * strictly valid JSON without pulling in an external dependency.
+ * JsonWriter is a push-style serializer: begin/end objects and arrays,
+ * write keys and typed values, and it takes care of commas, escaping,
+ * and number formatting.
  *
  * @code
  *   stats::JsonWriter w;

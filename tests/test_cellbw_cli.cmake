@@ -1,8 +1,8 @@
 # Exercises the cellbw driver's error paths end to end: unknown
 # experiment names, malformed manifests, a corrupted cache entry
 # (which must degrade to a miss, not poison the run), validate
-# against a missing baseline directory, and the retired --sim-jobs
-# flag.
+# against a missing baseline directory, the retired --sim-jobs and
+# --trace-capacity flags, and configs that fail validation.
 #
 # Usage:
 #   cmake -DCELLBW=<cellbw> -DWORKDIR=<scratch dir> -P test_cellbw_cli.cmake
@@ -24,7 +24,8 @@ function(run_cellbw name expect_rc)
         WORKING_DIRECTORY "${WORKDIR}"
         OUTPUT_VARIABLE out
         ERROR_VARIABLE err
-        RESULT_VARIABLE rc)
+        RESULT_VARIABLE rc
+        TIMEOUT 120)
     if(expect_rc STREQUAL "nonzero")
         if(rc EQUAL 0)
             message(FATAL_ERROR "${name}: expected failure, got rc=0\n"
@@ -141,14 +142,35 @@ if(NOT noval_err MATCHES "cellbw validate:")
     message(FATAL_ERROR "validate error message:\n${noval_err}")
 endif()
 
-# --- 5. Retired --sim-jobs flag is rejected by name -----------------
-# Runs are serial inside one simulation; the flag that once picked a
-# thread count for the partitioned engine must fail loudly, not be
+# --- 5. Retired flags are rejected by name -------------------------
+# Runs are serial inside one simulation, and there is no event
+# recorder: the flags that once picked a thread count for the
+# partitioned engine and bounded the recorder must fail loudly, not be
 # silently ignored.
 run_cellbw(simjobs nonzero run abl_dualchip --quick --sim-jobs 2)
 if(NOT simjobs_err MATCHES "--sim-jobs")
     message(FATAL_ERROR "--sim-jobs rejection does not name the flag:\n"
                         "${simjobs_err}")
+endif()
+run_cellbw(tracecap nonzero run abl_dualchip --quick --trace-capacity 5)
+if(NOT tracecap_err MATCHES "--trace-capacity")
+    message(FATAL_ERROR "--trace-capacity rejection does not name the "
+                        "flag:\n${tracecap_err}")
+endif()
+
+# --- 6. Configs the components reject exit 1 with a named error -----
+# The EIB refuses zero rings only once the experiment builds a system;
+# that error must reach the user as a message, not as an abort.
+run_cellbw(rings0 1 run ls_spu_ls --quick --rings 0)
+if(NOT rings0_err MATCHES "ls_spu_ls: EIB needs at least one data ring")
+    message(FATAL_ERROR "--rings 0 message:\n${rings0_err}")
+endif()
+
+# A NaN clock is rejected while parsing, before any simulation can
+# spin on it.
+run_cellbw(ghznan 1 run fig08_spe_mem --quick --cpu-ghz nan)
+if(NOT ghznan_err MATCHES "--cpu-ghz must be finite")
+    message(FATAL_ERROR "--cpu-ghz nan message:\n${ghznan_err}")
 endif()
 
 message(STATUS "cellbw CLI error paths behave")

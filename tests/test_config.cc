@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cell/config.hh"
 #include "test_util.hh"
 
@@ -87,6 +89,50 @@ TEST(CellConfig, BadValuesAreFatal)
     // Two chips raise the SPE ceiling.
     auto cfg = parse({"--chips=2", "--spes=16"});
     EXPECT_EQ(cfg.numSpes, 16u);
+}
+
+TEST(CellConfig, NonFiniteOrOutOfRangeMachineValuesAreFatal)
+{
+    // Each rejection is a FatalError that names the offending flag.
+    auto expectFatalNaming = [](std::vector<const char *> args,
+                                const std::string &flag) {
+        try {
+            parse(args);
+            ADD_FAILURE() << args[0] << " was accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(flag),
+                      std::string::npos)
+                << args[0] << ": " << e.what();
+        }
+    };
+    for (const char *bad : {"--cpu-ghz=nan", "--cpu-ghz=0",
+                            "--cpu-ghz=-2.1", "--cpu-ghz=inf",
+                            "--cpu-ghz=1e300"})
+        expectFatalNaming({bad}, "--cpu-ghz");
+    const char *latencies[] = {"fault-delay-ns", "mem-latency-ns",
+                               "mem-row-hit-ns", "mem-row-miss-ns",
+                               "ioif-latency", "blade-latency"};
+    for (const char *flag : latencies) {
+        for (const char *value : {"nan", "-1", "inf", "1e300"}) {
+            std::string arg = std::string("--") + flag + "=" + value;
+            expectFatalNaming({arg.c_str()}, std::string("--") + flag);
+        }
+    }
+    const char *rates[] = {"bank0-gbps", "bank1-gbps", "io-gbps",
+                           "blade-link-gbps"};
+    for (const char *flag : rates) {
+        for (const char *value : {"nan", "0", "-1", "inf"}) {
+            std::string arg = std::string("--") + flag + "=" + value;
+            expectFatalNaming({arg.c_str()}, std::string("--") + flag);
+        }
+    }
+    for (const char *bad : {"--bank0-share=nan", "--bank0-share=-0.1",
+                            "--bank0-share=1.5"})
+        expectFatalNaming({bad}, "--bank0-share");
+    // Zero latency is a legal (if idealized) machine.
+    auto zero = parse({"--mem-latency-ns=0", "--fault-delay-ns=0"});
+    EXPECT_EQ(zero.memory.bank0.accessLatency, 0u);
+    EXPECT_EQ(zero.spe.mfc.faults.delayTicks, 0u);
 }
 
 TEST(CellConfig, ClusterFlagsReachTheRightFields)

@@ -1,17 +1,14 @@
 /**
  * @file
  * End-to-end tests of the recoverable MFC fault model: injected
- * drops/corruptions are repaired by the offload runtime's and the
- * communicator's retry paths, --verify cross-checks every transfer
- * against the backing store, and the fault sequence is seed-stable.
+ * drops/corruptions are repaired by the communicator's retry path (the
+ * one msg_pingpong ships), --verify cross-checks every transfer against
+ * its source, and the fault sequence is seed-stable.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "msg/communicator.hh"
-#include "runtime/offload.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
@@ -19,89 +16,97 @@ using namespace cellbw;
 namespace
 {
 
-runtime::Kernel
-xorKernel(std::uint8_t key)
-{
-    return [key](std::uint8_t *d, std::uint32_t n) {
-        for (std::uint32_t i = 0; i < n; ++i)
-            d[i] ^= key;
-    };
-}
-
 struct FaultFixture : public ::testing::Test
 {
     cell::CellConfig cfg;
 
-    struct BatchResult
+    struct ExchangeResult
     {
         std::uint64_t faults = 0;
         std::uint64_t retries = 0;
         std::uint64_t injected = 0;
-        Tick makespan = 0;
+        Tick finish = 0;
     };
 
-    /** Offload a batch of XOR tasks and check every output byte. */
-    BatchResult
-    runBatch(unsigned workers, unsigned tasks, std::uint32_t bytes,
-             std::uint64_t seed = 1)
+    /**
+     * Stream @p messages messages from rank 2p to rank 2p+1 for each of
+     * @p pairs pairs, alternating 1 KiB eager and @p bytes rendezvous
+     * payloads, and check every received message.
+     */
+    ExchangeResult
+    runExchange(unsigned pairs, unsigned messages, std::uint32_t bytes,
+                std::uint64_t seed = 1)
     {
+        constexpr std::uint32_t eagerBytes = 1024;
         cell::CellSystem sys(cfg, seed);
-        runtime::OffloadParams params;
-        params.workers = workers;
-        runtime::OffloadRuntime rt(sys, params);
-
-        std::vector<EffAddr> outs;
-        for (unsigned t = 0; t < tasks; ++t) {
-            EffAddr in = sys.malloc(bytes);
-            EffAddr out = sys.malloc(bytes);
-            sys.memory().store().fill(
-                in, static_cast<std::uint8_t>(t + 1), bytes);
-            outs.push_back(out);
-            rt.submit({in, out, bytes, 64, xorKernel(0x33)});
+        msg::Communicator comm(sys, 2 * pairs);
+        std::vector<LsAddr> src, dst;
+        for (unsigned p = 0; p < pairs; ++p) {
+            src.push_back(sys.spe(2 * p).lsAlloc(bytes));
+            dst.push_back(sys.spe(2 * p + 1).lsAlloc(bytes));
         }
-        rt.start();
+        auto size = [&](unsigned m) { return m % 2 ? bytes : eagerBytes; };
+        auto pattern = [](unsigned p, unsigned m) {
+            return static_cast<std::uint8_t>(p * 16 + m + 1);
+        };
+
+        unsigned received = 0;
+        auto sender = [&](unsigned p) -> sim::Task {
+            for (unsigned m = 0; m < messages; ++m) {
+                sys.spe(2 * p).ls().fill(src[p], pattern(p, m), size(m));
+                co_await comm.send(2 * p, 2 * p + 1, src[p], size(m));
+            }
+        };
+        auto receiver = [&](unsigned p) -> sim::Task {
+            auto &ls = sys.spe(2 * p + 1).ls();
+            for (unsigned m = 0; m < messages; ++m) {
+                std::uint32_t got = 0;
+                co_await comm.recv(2 * p + 1, 2 * p, dst[p], bytes, &got);
+                EXPECT_EQ(got, size(m));
+                for (std::uint32_t off : {0u, got / 2, got - 1}) {
+                    EXPECT_EQ(ls.byteAt(dst[p] + off), pattern(p, m))
+                        << "pair " << p << " message " << m
+                        << " offset " << off;
+                }
+                ++received;
+            }
+        };
+        for (unsigned p = 0; p < pairs; ++p) {
+            sys.launch(sender(p));
+            sys.launch(receiver(p));
+        }
         sys.run();
 
-        EXPECT_EQ(rt.stats().tasksCompleted, tasks);
-        for (unsigned t = 0; t < tasks; ++t) {
-            auto expect = static_cast<std::uint8_t>((t + 1) ^ 0x33);
-            for (std::uint32_t off : {0u, bytes / 2, bytes - 1}) {
-                EXPECT_EQ(sys.memory().store().byteAt(outs[t] + off),
-                          expect)
-                    << "task " << t << " offset " << off;
-            }
-        }
+        EXPECT_EQ(received, pairs * messages);
         if (sys.verifying()) {
             EXPECT_EQ(sys.verifyStats().divergences, 0u)
                 << sys.verifyStats().firstDivergence;
             EXPECT_GT(sys.verifyStats().transfersChecked, 0u);
         }
 
-        BatchResult r;
-        for (const auto &w : rt.stats().worker) {
-            r.faults += w.faults;
-            r.retries += w.retries;
-        }
+        ExchangeResult r;
+        r.faults = comm.dmaFaults();
+        r.retries = comm.dmaRetries();
         for (unsigned i = 0; i < sys.numSpes(); ++i) {
             r.injected += sys.spe(i).mfc().dropsInjected() +
                           sys.spe(i).mfc().corruptionsInjected() +
                           sys.spe(i).mfc().delaysInjected();
         }
-        r.makespan = rt.stats().makespan();
+        r.finish = sys.now();
         return r;
     }
 };
 
 } // namespace
 
-TEST_F(FaultFixture, OffloadSurvivesDropsAndCorruptionsUnderVerify)
+TEST_F(FaultFixture, MessagesSurviveDropsAndCorruptionsUnderVerify)
 {
     cfg.spe.mfc.faults.dropRate = 0.03;
     cfg.spe.mfc.faults.corruptRate = 0.03;
     cfg.spe.mfc.faults.seed = 11;
     cfg.verify = true;
-    auto r = runBatch(4, 12, 96 * 1024);
-    // With ~400 commands at 6% fault probability, faults certainly
+    auto r = runExchange(4, 24, 64 * 1024);
+    // With ~240 payload DMAs at 6% fault probability, faults certainly
     // occurred and every one was repaired by a retry.
     EXPECT_GT(r.faults, 0u);
     EXPECT_GE(r.retries, r.faults);
@@ -111,7 +116,7 @@ TEST_F(FaultFixture, DelaysAloneNeedNoRetries)
 {
     cfg.spe.mfc.faults.delayRate = 0.2;
     cfg.verify = true;
-    auto r = runBatch(2, 6, 64 * 1024);
+    auto r = runExchange(2, 12, 64 * 1024);
     EXPECT_GT(r.injected, 0u);
     EXPECT_EQ(r.faults, 0u);        // a late completion is not an error
     EXPECT_EQ(r.retries, 0u);
@@ -120,7 +125,7 @@ TEST_F(FaultFixture, DelaysAloneNeedNoRetries)
 TEST_F(FaultFixture, DisabledInjectionIsCleanAndRetryFree)
 {
     cfg.verify = true;
-    auto r = runBatch(4, 8, 64 * 1024);
+    auto r = runExchange(4, 16, 64 * 1024);
     EXPECT_EQ(r.injected, 0u);
     EXPECT_EQ(r.faults, 0u);
     EXPECT_EQ(r.retries, 0u);
@@ -130,16 +135,16 @@ TEST_F(FaultFixture, SameSeedReproducesTheFaultSequence)
 {
     cfg.spe.mfc.faults.dropRate = 0.05;
     cfg.spe.mfc.faults.corruptRate = 0.05;
-    auto a = runBatch(4, 8, 64 * 1024, 3);
-    auto b = runBatch(4, 8, 64 * 1024, 3);
+    auto a = runExchange(4, 16, 64 * 1024, 3);
+    auto b = runExchange(4, 16, 64 * 1024, 3);
     EXPECT_EQ(a.injected, b.injected);
     EXPECT_EQ(a.faults, b.faults);
     EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.finish, b.finish);
 
     // A different run seed draws a different fault sequence.
-    auto c = runBatch(4, 8, 64 * 1024, 4);
-    EXPECT_TRUE(a.injected != c.injected || a.makespan != c.makespan);
+    auto c = runExchange(4, 16, 64 * 1024, 4);
+    EXPECT_TRUE(a.injected != c.injected || a.finish != c.finish);
 }
 
 TEST_F(FaultFixture, MessagePassingRetriesFaultedTransfers)

@@ -1,12 +1,11 @@
 /** @file Tests for the cluster halo-exchange stencil: degenerate
  *        single-chip behaviour, checked-mode cross-verification, exact
- *        cross-chip byte accounting, placement policies, per-seed
- *        determinism, and the locality-aware offload dispatcher. */
+ *        cross-chip byte accounting, placement policies and per-seed
+ *        determinism. */
 
 #include <gtest/gtest.h>
 
 #include "core/halo.hh"
-#include "runtime/offload.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
@@ -155,59 +154,4 @@ TEST(HaloExchange, RequiresLinearAffinityOverAllSlots)
     EXPECT_THROW(core::runClusterHalo(
                      partial, smallHalo(cell::TaskPlacement::Locality)),
                  sim::FatalError);
-}
-
-TEST(OffloadPlacement, LocalityRunsTasksOnTheirHomeChip)
-{
-    auto cfg = clusterConfig(2);
-    cfg.placement = cell::TaskPlacement::Locality;
-    cell::CellSystem sys(cfg, 1);
-
-    runtime::OffloadParams params;
-    params.workers = 16;
-    runtime::OffloadRuntime rt(sys, params);
-    // Four tasks per chip, inputs pinned to that chip's bank.
-    for (unsigned chip = 0; chip < 2; ++chip) {
-        for (unsigned t = 0; t < 4; ++t) {
-            EffAddr in = sys.malloc(64 * util::KiB,
-                                    mem::NumaPolicy::onBank(chip));
-            EffAddr out = sys.malloc(64 * util::KiB,
-                                     mem::NumaPolicy::onBank(chip));
-            rt.submit({in, out, 64 * util::KiB, 64,
-                       [](std::uint8_t *, std::uint32_t) {}});
-        }
-    }
-    rt.start();
-    sys.run();
-
-    EXPECT_EQ(rt.stats().tasksCompleted, 8u);
-    // Every task ran on a worker of its input's home chip, so the
-    // links carried no task payload at all.
-    EXPECT_EQ(totalLinkBytes(sys), 0u);
-    for (unsigned w = 0; w < 16; ++w) {
-        // Chip 0 owns tasks 0-3, chip 1 owns tasks 4-7; the per-chip
-        // cursor rotates over that chip's eight workers.
-        unsigned expected = (w % 8) < 4 ? 1u : 0u;
-        EXPECT_EQ(rt.stats().worker[w].tasks, expected) << "worker " << w;
-    }
-}
-
-TEST(OffloadPlacement, RoundRobinKeepsTheClassicDispatch)
-{
-    cell::CellSystem sys(clusterConfig(2), 1);
-    runtime::OffloadParams params;
-    params.workers = 3;
-    params.placement = cell::TaskPlacement::RoundRobin;
-    runtime::OffloadRuntime rt(sys, params);
-    for (unsigned t = 0; t < 7; ++t) {
-        EffAddr in = sys.malloc(16 * util::KiB);
-        EffAddr out = sys.malloc(16 * util::KiB);
-        rt.submit({in, out, 16 * util::KiB, 64,
-                   [](std::uint8_t *, std::uint32_t) {}});
-    }
-    rt.start();
-    sys.run();
-    EXPECT_EQ(rt.stats().worker[0].tasks, 3u);  // tasks 0, 3, 6
-    EXPECT_EQ(rt.stats().worker[1].tasks, 2u);
-    EXPECT_EQ(rt.stats().worker[2].tasks, 2u);
 }
