@@ -40,7 +40,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }, b.pool);
             double peak = 8 * b.cfg.rampPeakGBps();
             table.addRow({cell::toString(aff),
                           mode == core::SpeSpeMode::Cycle ? "cycle"

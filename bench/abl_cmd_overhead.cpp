@@ -44,7 +44,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }, b.pool);
             series.push_back(d.mean());
             table.addRow({std::to_string(overhead), core::elemLabel(e),
                           stats::Table::num(d.mean())});

@@ -57,7 +57,7 @@ run(core::ExperimentContext &b)
         auto d = core::repeatRuns(cfg, b.repeat,
                                   [&](cell::CellSystem &sys) {
             return core::runSpeSpe(sys, sc);
-        }, b.par);
+        }, b.pool);
         table.addRow({row.name, std::to_string(row.spes),
                       stats::Table::num(d.mean()),
                       stats::Table::num(d.min()),

@@ -38,7 +38,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }, b.pool);
             table.addRow({std::to_string(depth),
                           k ? std::to_string(k) : "all",
                           stats::Table::num(d.mean())});

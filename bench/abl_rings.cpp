@@ -35,7 +35,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }, b.pool);
             double peak = 8 * b.cfg.rampPeakGBps();
             table.addRow({std::to_string(rings),
                           mode == core::SpeSpeMode::Cycle ? "cycle"

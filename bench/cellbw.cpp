@@ -34,6 +34,7 @@
 #include "core/result_cache.hh"
 #include "core/suite.hh"
 #include "core/validate.hh"
+#include "core/worker_pool.hh"
 #include "serve/server.hh"
 #include "util/strings.hh"
 
@@ -145,6 +146,23 @@ parseDoubleArg(const char *flag, const char *val, double &out)
     return true;
 }
 
+/** Parse a --jobs value: a pool width from 0 (all cores) to the cap. */
+bool
+parseJobsArg(const char *val, unsigned &out)
+{
+    try {
+        std::uint64_t v = util::parseUint64(val);
+        if (v <= core::WorkerPool::kMaxWorkers) {
+            out = static_cast<unsigned>(v);
+            return true;
+        }
+    } catch (const std::exception &) {
+    }
+    std::fprintf(stderr, "cellbw: bad --jobs value '%s' (expected 0..%u)\n",
+                 val, core::WorkerPool::kMaxWorkers);
+    return false;
+}
+
 int
 cmdList(int argc, char **argv)
 {
@@ -204,14 +222,8 @@ cmdSuite(int argc, char **argv)
                 std::fputs("cellbw: --jobs needs a value\n", stderr);
                 return 2;
             }
-            char *end = nullptr;
-            unsigned long v = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0') {
-                std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n",
-                             argv[i]);
+            if (!parseJobsArg(argv[i], spec.jobs))
                 return 2;
-            }
-            spec.jobs = static_cast<unsigned>(v);
         } else if (a == "--out") {
             if (++i >= argc) {
                 std::fputs("cellbw: --out needs a value\n", stderr);
@@ -266,14 +278,8 @@ cmdValidate(int argc, char **argv)
                 std::fputs("cellbw: --jobs needs a value\n", stderr);
                 return 2;
             }
-            char *end = nullptr;
-            unsigned long v = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0') {
-                std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n",
-                             argv[i]);
+            if (!parseJobsArg(argv[i], spec.jobs))
                 return 2;
-            }
-            spec.jobs = static_cast<unsigned>(v);
         } else if (a == "--baselines") {
             if (++i >= argc) {
                 std::fputs("cellbw: --baselines needs a value\n",
@@ -491,15 +497,8 @@ cmdServe(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--jobs") {
-            if (!(v = needValue("--jobs", i)))
+            if (!(v = needValue("--jobs", i)) || !parseJobsArg(v, spec.jobs))
                 return 2;
-            try {
-                spec.jobs = static_cast<unsigned>(util::parseUint64(v));
-            } catch (const std::exception &) {
-                std::fprintf(stderr, "cellbw: bad --jobs value '%s'\n",
-                             v);
-                return 2;
-            }
         } else if (a == "--cache") {
             if (!(v = needValue("--cache", i)))
                 return 2;

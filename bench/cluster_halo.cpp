@@ -41,8 +41,8 @@ run(core::ExperimentContext &b)
         std::uint32_t bytes;
     };
     const unsigned chipCounts[] = {1, 2, 4, 8};
-    const cell::TaskPlacement policies[] = {
-        cell::TaskPlacement::Locality, cell::TaskPlacement::RoundRobin};
+    const core::TaskPlacement policies[] = {
+        core::TaskPlacement::Locality, core::TaskPlacement::RoundRobin};
     const HaloPoint halos[] = {{"4KiB", 4 * util::KiB},
                                {"32KiB", 32 * util::KiB}};
 
@@ -55,7 +55,6 @@ run(core::ExperimentContext &b)
                 cfg.numChips = chips;
                 cfg.numSpes = 8 * chips;
                 cfg.affinity = cell::AffinityPolicy::Linear;
-                cfg.placement = policy;
 
                 core::HaloConfig hc;
                 hc.haloBytes = hp.bytes;

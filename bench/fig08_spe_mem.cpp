@@ -53,7 +53,7 @@ run(core::ExperimentContext &b)
                 auto d = core::repeatRuns(b.cfg, b.repeat,
                                           [&](cell::CellSystem &sys) {
                     return core::runSpeMem(sys, mc);
-                }, b.par);
+                }, b.pool);
                 series.push_back(d.mean());
                 table.addRow({core::toString(op), std::to_string(n),
                               core::elemLabel(e),

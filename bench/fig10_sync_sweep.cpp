@@ -46,7 +46,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(b.cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }, b.pool);
             series.push_back(d.mean());
             table.addRow({k ? std::to_string(k) : "all",
                           core::elemLabel(e),

@@ -40,7 +40,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(b.cfg, once,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpuLs(sys, lc);
-            }, b.par);
+            }, b.pool);
             table.addRow({core::toString(op), util::format("%uB", e),
                           stats::Table::num(d.mean())});
             chart.add(util::format("%s %2uB", core::toString(op), e),

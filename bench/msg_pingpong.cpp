@@ -19,10 +19,16 @@ using namespace cellbw;
 namespace
 {
 
-/** One ping-pong run; returns {half-round-trip-us, bandwidth GB/s}. */
+/**
+ * One ping-pong run; returns {half-round-trip-us, bandwidth GB/s}.
+ * Under --verify the run's metrics go to @p metrics so the report
+ * carries the verify.* counts; without it the report keeps the empty
+ * metrics section it has always had.
+ */
 std::pair<double, double>
 pingpong(const cell::CellConfig &cfg, std::uint32_t bytes,
-         unsigned iters, std::uint64_t seed)
+         unsigned iters, std::uint64_t seed,
+         stats::MetricsRegistry *metrics)
 {
     cell::CellSystem sys(cfg, seed);
     msg::CommunicatorParams params;
@@ -49,6 +55,8 @@ pingpong(const cell::CellConfig &cfg, std::uint32_t bytes,
     sys.launch(ping());
     sys.launch(pong());
     sys.run();
+    if (cfg.verify && metrics)
+        sys.snapshotMetrics(*metrics);
     double secs = cfg.clock.seconds(sys.now() - t0);
     double half_rt_us = secs * 1e6 / (2.0 * iters);
     double gbps = 2.0 * iters * static_cast<double>(bytes) / secs / 1e9;
@@ -68,7 +76,8 @@ run(core::ExperimentContext &b)
     for (std::uint32_t bytes = 16; bytes <= 64 * 1024; bytes *= 4) {
         stats::Distribution lat, bw;
         for (unsigned r = 0; r < b.repeat.runs; ++r) {
-            auto [l, g] = pingpong(b.cfg, bytes, 64, b.repeat.seed + r);
+            auto [l, g] = pingpong(b.cfg, bytes, 64, b.repeat.seed + r,
+                                   b.repeat.metrics);
             lat.add(l);
             bw.add(g);
         }

@@ -50,7 +50,7 @@ runPpeFigure(core::ExperimentContext &b, const char *figure,
                 auto d = core::repeatRuns(b.cfg, once,
                                           [&](cell::CellSystem &sys) {
                     return core::runPpeStream(sys, cfg);
-                }, b.par);
+                }, b.pool);
                 series.push_back(d.mean());
                 table.addRow({core::toString(op),
                               std::to_string(threads),

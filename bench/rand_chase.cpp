@@ -47,7 +47,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(b.cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runRandChase(sys, cc);
-            }, b.par);
+            }, b.pool);
             series.push_back(d.mean());
             table.addRow({mode, core::elemLabel(e),
                           stats::Table::num(d.mean()),
@@ -73,7 +73,7 @@ run(core::ExperimentContext &b)
         auto d = core::repeatRuns(b.cfg, b.repeat,
                                   [&](cell::CellSystem &sys) {
             return core::runRandChase(sys, cc);
-        }, b.par);
+        }, b.pool);
         depth.addRow({std::to_string(per_list),
                       stats::Table::num(d.mean()),
                       stats::Table::num(d.min()),

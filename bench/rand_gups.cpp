@@ -53,7 +53,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(b.cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runRandGups(sys, gc);
-            }, b.par);
+            }, b.pool);
             series.push_back(d.mean());
             // One update moves 2*elem bytes (GET + PUT).
             double mups = d.mean() * 1e9 / (2.0 * e) / 1e6;
@@ -85,7 +85,7 @@ run(core::ExperimentContext &b)
             auto d = core::repeatRuns(cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runRandGups(sys, gc);
-            }, b.par);
+            }, b.pool);
             rows.addRow({timing ? "on" : "off", tp.label,
                          stats::Table::num(d.mean())});
         }

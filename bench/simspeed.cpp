@@ -9,10 +9,12 @@
 
 #include <chrono>
 #include <deque>
+#include <optional>
 
 #include "cell/cell_system.hh"
 #include "core/experiments.hh"
 #include "core/runner.hh"
+#include "core/worker_pool.hh"
 #include "sim/event_queue.hh"
 #include "sim/parallel.hh"
 #include "spe/mfc.hh"
@@ -102,8 +104,9 @@ BENCHMARK(BM_SpePairTransfer);
 
 /**
  * The paper's 10-seed placement sweep, the unit of work every figure
- * binary repeats per data point.  Arg = --jobs; /1 vs /4 measures the
- * parallel-runner scaling (output is bit-identical for any jobs value).
+ * binary repeats per data point.  Arg = --jobs: /1 runs inline, as
+ * `cellbw run --jobs 1` does, and the others fan out over a WorkerPool
+ * of that width (output is bit-identical for any jobs value).
  */
 void
 BM_SeedSweep(benchmark::State &state)
@@ -111,7 +114,10 @@ BM_SeedSweep(benchmark::State &state)
     const unsigned jobs = static_cast<unsigned>(state.range(0));
     cell::CellConfig cfg;
     core::RepeatSpec spec;          // 10 runs, seeds 42..51
-    core::ParallelSpec par{jobs};
+    std::optional<core::WorkerPool> pool;
+    if (jobs != 1)
+        pool.emplace(jobs);
+    core::WorkerPool *par = pool ? &*pool : nullptr;
     for (auto _ : state) {
         auto d = core::repeatRuns(cfg, spec, [](cell::CellSystem &sys) {
             core::SpeSpeConfig sc;

@@ -56,7 +56,7 @@ runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
                 auto d = core::repeatRuns(b.cfg, b.repeat,
                                           [&](cell::CellSystem &sys) {
                     return core::runSpeSpe(sys, sc);
-                }, b.par);
+                }, b.pool);
                 series.push_back(d.mean());
                 table.addRow({use_list ? "DMA-list" : "DMA-elem",
                               std::to_string(n), core::elemLabel(e),
@@ -106,7 +106,7 @@ runSpeSpeDistribution(core::ExperimentContext &b, const char *figure,
             auto d = core::repeatRuns(b.cfg, b.repeat,
                                       [&](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.par);
+            }, b.pool);
             mins.push_back(d.min());
             meds.push_back(d.median());
             maxs.push_back(d.max());

@@ -34,7 +34,7 @@ run(core::ExperimentContext &b)
         core::RepeatSpec once{1, b.repeat.seed};
         auto d = core::repeatRuns(b.cfg, once, [&](cell::CellSystem &s) {
             return core::runSpuLs(s, lc);
-        }, b.par);
+        }, b.pool);
         add("SPU <-> LS (16B load)", b.cfg.lsPeakGBps(), d.mean());
     }
     // PPE -> L1, 8 B loads.
@@ -44,7 +44,7 @@ run(core::ExperimentContext &b)
         core::RepeatSpec once{1, b.repeat.seed};
         auto d = core::repeatRuns(b.cfg, once, [&](cell::CellSystem &s) {
             return core::runPpeStream(s, pc);
-        }, b.par);
+        }, b.pool);
         add("PPU <- L1 (8B load)", 16.0 * b.cfg.clock.cpuHz / 1e9,
             d.mean());
     }
@@ -55,7 +55,7 @@ run(core::ExperimentContext &b)
         core::RepeatSpec once{1, b.repeat.seed};
         auto d = core::repeatRuns(b.cfg, once, [&](cell::CellSystem &s) {
             return core::runPpeStream(s, pc);
-        }, b.par);
+        }, b.pool);
         add("PPU <- memory (16B load)", b.cfg.rampPeakGBps(), d.mean());
     }
     // 1 SPE GET from memory.
@@ -66,7 +66,7 @@ run(core::ExperimentContext &b)
         auto d = core::repeatRuns(b.cfg, b.repeat,
                                   [&](cell::CellSystem &s) {
             return core::runSpeMem(s, mc);
-        }, b.par);
+        }, b.pool);
         add("1 SPE GET <- memory", b.cfg.rampPeakGBps(), d.mean());
     }
     // 4 SPEs GET from memory (both banks).
@@ -77,7 +77,7 @@ run(core::ExperimentContext &b)
         auto d = core::repeatRuns(b.cfg, b.repeat,
                                   [&](cell::CellSystem &s) {
             return core::runSpeMem(s, mc);
-        }, b.par);
+        }, b.pool);
         add("4 SPEs GET <- memory (MIC+IOIF)",
             b.cfg.rampPeakGBps() + 7.0, d.mean());
     }
@@ -90,7 +90,7 @@ run(core::ExperimentContext &b)
         auto d = core::repeatRuns(b.cfg, b.repeat,
                                   [&](cell::CellSystem &s) {
             return core::runSpeSpe(s, sc);
-        }, b.par);
+        }, b.pool);
         add("SPE pair GET+PUT (4KiB)", b.cfg.pairPeakGBps(), d.mean());
     }
     // 8-SPE cycle.
@@ -103,7 +103,7 @@ run(core::ExperimentContext &b)
         auto d = core::repeatRuns(b.cfg, b.repeat,
                                   [&](cell::CellSystem &s) {
             return core::runSpeSpe(s, sc);
-        }, b.par);
+        }, b.pool);
         add("8-SPE cycle GET+PUT (4KiB)", 8 * b.cfg.rampPeakGBps(),
             d.mean());
     }

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "cell/cell_system.hh"
 #include "core/experiments.hh"
@@ -22,8 +23,8 @@ namespace
 
 /**
  * A minimal SPU program, written like Cell SDK code: GET a buffer from
- * main memory into the local store, wait for the tag, report timing
- * through the outbound mailbox.
+ * main memory into the local store in 16 KiB elements, then wait for
+ * the tag group.
  */
 sim::Task
 helloDma(cell::CellSystem &sys, unsigned speIdx, EffAddr src,
@@ -31,17 +32,11 @@ helloDma(cell::CellSystem &sys, unsigned speIdx, EffAddr src,
 {
     auto &spe = sys.spe(speIdx);
     LsAddr buf = spe.lsAlloc(bytes);
-
-    std::uint64_t t0 = spe.spu().timebase();
     for (std::uint32_t off = 0; off < bytes; off += 16 * 1024) {
         co_await spe.mfc().queueSpace();
         spe.mfc().get(buf + off, src + off, 16 * 1024, /*tag=*/0);
     }
     co_await spe.mfc().tagWait(1u << 0);
-    std::uint64_t t1 = spe.spu().timebase();
-
-    co_await spe.outboundMailbox().write(
-        static_cast<std::uint32_t>(t1 - t0));
 }
 
 } // namespace
@@ -57,29 +52,30 @@ main()
                 "GB/s\n",
                 cfg.clock.cpuHz / 1e9, cfg.rampPeakGBps(),
                 cfg.lsPeakGBps());
-    std::printf("  SPE placement (logical->physical): %s\n\n",
-                sys.placementString().c_str());
+    std::printf("  SPE placement (logical->physical):");
+    for (unsigned i = 0; i < sys.numSpes(); ++i)
+        std::printf(" %u->%u", i, sys.physicalOf(i));
+    std::printf("\n\n");
 
     // --- One hand-rolled DMA program. -------------------------------
     constexpr std::uint32_t bytes = 128 * 1024;
     EffAddr src = sys.malloc(bytes);
-    sys.memory().store().fill(src, 0xAB, bytes);
+    std::vector<std::uint8_t> pattern(bytes, 0xAB);
+    sys.memory().store().write(src, pattern.data(), bytes);
 
     Tick t0 = sys.now();
     sys.launch(helloDma(sys, 0, src, bytes));
     sys.run();
 
-    std::uint32_t decrementer_ticks = 0;
-    if (!sys.spe(0).outboundMailbox().tryRead(decrementer_ticks))
-        std::printf("  (no mailbox message?)\n");
-
     double secs = cfg.clock.seconds(sys.now() - t0);
+    std::uint8_t first = 0;
+    sys.spe(0).ls().read(0, &first, 1);
     std::printf("GET of %s from main memory on SPE0:\n",
                 util::bytesToString(bytes).c_str());
-    std::printf("  %.2f us simulated, %.2f GB/s, %u decrementer ticks\n",
-                secs * 1e6, bytes / secs / 1e9, decrementer_ticks);
+    std::printf("  %.2f us simulated, %.2f GB/s\n", secs * 1e6,
+                bytes / secs / 1e9);
     std::printf("  first byte landed in LS: 0x%02X (expected 0xAB)\n\n",
-                sys.spe(0).ls().byteAt(0));
+                first);
 
     // --- The canned experiments. -------------------------------------
     {

@@ -6,16 +6,16 @@
  *    efficient than having a single data stream using the 8 SPEs"
  *
  * We build a streaming pipeline that pulls data from main memory,
- * passes it SPE-to-SPE down a chain (each hop forwards its buffer with
- * a GET from the previous stage's LS), and writes results back to
- * memory — once as a single 8-SPE chain, once as two independent 4-SPE
- * chains, with identical total work.
+ * passes it SPE-to-SPE down a chain (msg::Communicator messages: each
+ * hop GETs its buffer from the previous stage's LS), and writes results
+ * back to memory — once as a single 8-SPE chain, once as two
+ * independent 4-SPE chains, with identical total work.
  */
 
 #include <cstdio>
 
 #include "cell/cell_system.hh"
-#include "sim/task.hh"
+#include "msg/communicator.hh"
 #include "util/strings.hh"
 
 using namespace cellbw;
@@ -27,69 +27,58 @@ constexpr std::uint32_t chunkBytes = 16 * 1024;
 constexpr std::uint32_t slotCount = 4;
 
 /**
- * First stage: GETs chunks from main memory into its LS, then signals
- * the chunk number through its outbound mailbox.
+ * First stage: GETs chunks from main memory into its LS and hands each
+ * one to the next stage.  A 16 KiB message goes by rendezvous: the
+ * next stage GETs it straight out of this LS, and send() returns once
+ * it has, so the slot is free again.
  */
 sim::Task
-sourceStage(cell::CellSystem &sys, unsigned spe, EffAddr src,
-            std::uint64_t chunks)
+sourceStage(cell::CellSystem &sys, msg::Communicator &comm, unsigned spe,
+            EffAddr src, std::uint64_t chunks)
 {
     auto &s = sys.spe(spe);
     LsAddr buf = s.lsAlloc(slotCount * chunkBytes);
     for (std::uint64_t c = 0; c < chunks; ++c) {
         LsAddr slot = buf + (c % slotCount) * chunkBytes;
         co_await s.mfc().queueSpace();
-        s.mfc().get(slot, src + c * chunkBytes, chunkBytes,
-                    static_cast<unsigned>(c % slotCount));
-        co_await s.mfc().tagWait(1u << (c % slotCount));
-        co_await s.outboundMailbox().write(static_cast<std::uint32_t>(c));
+        s.mfc().get(slot, src + c * chunkBytes, chunkBytes, 0);
+        co_await s.mfc().tagWait(1u << 0);
+        co_await comm.send(spe, spe + 1, slot, chunkBytes);
+    }
+}
+
+/** Middle stage: pulls each chunk from its predecessor, passes it on. */
+sim::Task
+relayStage(cell::CellSystem &sys, msg::Communicator &comm, unsigned spe,
+           std::uint64_t chunks)
+{
+    LsAddr buf = sys.spe(spe).lsAlloc(slotCount * chunkBytes);
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+        LsAddr slot = buf + (c % slotCount) * chunkBytes;
+        co_await comm.recv(spe, spe - 1, slot, chunkBytes, nullptr);
+        co_await comm.send(spe, spe + 1, slot, chunkBytes);
     }
 }
 
 /**
- * Middle stage: waits for its predecessor's mailbox, GETs the chunk
- * from the predecessor's LS, forwards the token.
+ * Final stage: pulls each chunk and PUTs it back to main memory, one
+ * tag group per slot so a slot is reused only once its PUT is done.
  */
 sim::Task
-relayStage(cell::CellSystem &sys, unsigned spe, unsigned prev,
-           std::uint64_t chunks)
-{
-    auto &s = sys.spe(spe);
-    LsAddr buf = s.lsAlloc(slotCount * chunkBytes);
-    // The predecessor allocated its buffer at the same LS offset.
-    LsAddr peer_buf = buf;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        std::uint32_t token = co_await sys.spe(prev).outboundMailbox().read();
-        LsAddr slot = buf + (token % slotCount) * chunkBytes;
-        co_await s.mfc().queueSpace();
-        s.mfc().get(slot,
-                    sys.lsEa(prev, peer_buf +
-                             (token % slotCount) * chunkBytes),
-                    chunkBytes, token % slotCount);
-        co_await s.mfc().tagWait(1u << (token % slotCount));
-        co_await s.outboundMailbox().write(token);
-    }
-}
-
-/** Final stage: PUTs chunks back to main memory. */
-sim::Task
-sinkStage(cell::CellSystem &sys, unsigned spe, unsigned prev, EffAddr dst,
-          std::uint64_t chunks)
+sinkStage(cell::CellSystem &sys, msg::Communicator &comm, unsigned spe,
+          EffAddr dst, std::uint64_t chunks)
 {
     auto &s = sys.spe(spe);
     LsAddr buf = s.lsAlloc(slotCount * chunkBytes);
     for (std::uint64_t c = 0; c < chunks; ++c) {
-        std::uint32_t token = co_await sys.spe(prev).outboundMailbox().read();
-        LsAddr slot = buf + (token % slotCount) * chunkBytes;
+        const auto tag = static_cast<unsigned>(c % slotCount);
+        LsAddr slot = buf + tag * chunkBytes;
+        co_await s.mfc().tagWait(1u << tag);
+        co_await comm.recv(spe, spe - 1, slot, chunkBytes, nullptr);
         co_await s.mfc().queueSpace();
-        s.mfc().get(slot,
-                    sys.lsEa(prev, slot), chunkBytes, token % slotCount);
-        co_await s.mfc().tagWait(1u << (token % slotCount));
-        co_await s.mfc().queueSpace();
-        s.mfc().put(slot, dst + token * static_cast<EffAddr>(chunkBytes),
-                    chunkBytes, 8);
+        s.mfc().put(slot, dst + c * chunkBytes, chunkBytes, tag);
     }
-    co_await s.mfc().tagWait(1u << 8);
+    co_await s.mfc().tagWait((1u << slotCount) - 1);
 }
 
 /**
@@ -97,15 +86,15 @@ sinkStage(cell::CellSystem &sys, unsigned spe, unsigned prev, EffAddr dst,
  * @p totalBytes; returns when its sink finished.
  */
 void
-launchChain(cell::CellSystem &sys, unsigned first, unsigned width,
-            EffAddr src, EffAddr dst, std::uint64_t totalBytes)
+launchChain(cell::CellSystem &sys, msg::Communicator &comm, unsigned first,
+            unsigned width, EffAddr src, EffAddr dst,
+            std::uint64_t totalBytes)
 {
     std::uint64_t chunks = totalBytes / chunkBytes;
-    sys.launch(sourceStage(sys, first, src, chunks));
+    sys.launch(sourceStage(sys, comm, first, src, chunks));
     for (unsigned i = 1; i + 1 < width; ++i)
-        sys.launch(relayStage(sys, first + i, first + i - 1, chunks));
-    sys.launch(sinkStage(sys, first + width - 1, first + width - 2, dst,
-                         chunks));
+        sys.launch(relayStage(sys, comm, first + i, chunks));
+    sys.launch(sinkStage(sys, comm, first + width - 1, dst, chunks));
 }
 
 double
@@ -114,13 +103,13 @@ runConfiguration(unsigned streams, unsigned width,
 {
     cell::CellConfig cfg;
     cell::CellSystem sys(cfg, seed);
+    msg::Communicator comm(sys, streams * width);
     Tick t0 = sys.now();
     for (unsigned st = 0; st < streams; ++st) {
         EffAddr src = sys.malloc(bytesPerStream);
         EffAddr dst = sys.malloc(bytesPerStream);
-        sys.memory().store().fill(src, static_cast<std::uint8_t>(st + 1),
-                                  bytesPerStream);
-        launchChain(sys, st * width, width, src, dst, bytesPerStream);
+        launchChain(sys, comm, st * width, width, src, dst,
+                    bytesPerStream);
     }
     sys.run();
     double secs = cfg.clock.seconds(sys.now() - t0);
@@ -136,8 +125,8 @@ main()
 
     std::printf("Streaming pipelines on the Cell: one 8-SPE chain vs "
                 "two 4-SPE chains\n");
-    std::printf("(total payload %s, %u KiB chunks, double-buffered "
-                "LS slots)\n\n",
+    std::printf("(total payload %s, %u KiB chunks handed on as "
+                "rendezvous messages)\n\n",
                 util::bytesToString(total).c_str(), chunkBytes / 1024);
 
     double one = 0.0, two = 0.0;

@@ -175,18 +175,6 @@ CellSystem::rampOf(unsigned logical) const
     return eib::speRamp(physicalOf(logical) % eib::numPhysicalSpes);
 }
 
-std::string
-CellSystem::placementString() const
-{
-    std::string out;
-    for (unsigned i = 0; i < cfg_.numSpes; ++i) {
-        if (i)
-            out += " ";
-        out += util::format("%u->%u", i, placement_[i]);
-    }
-    return out;
-}
-
 EffAddr
 CellSystem::malloc(std::uint64_t bytes)
 {
@@ -225,11 +213,17 @@ CellSystem::run()
         p.rethrow();
         if (!p.done()) {
             sim::fatal("deadlock: a launched program never finished "
-                       "(waiting on a DMA tag or mailbox that no one "
+                       "(waiting on a DMA tag or signal that no one "
                        "completes?)");
         }
     }
     checkDrained();
+    if (verifyStats_.divergences) {
+        sim::fatal("verify: %llu transfer(s) diverged from the backing "
+                   "store; first: %s",
+                   (unsigned long long)verifyStats_.divergences,
+                   verifyStats_.firstDivergence.c_str());
+    }
 }
 
 void
@@ -735,6 +729,14 @@ CellSystem::snapshotMetrics(stats::MetricsRegistry &reg) const
     for (unsigned s = 0; s < spes_.size(); ++s) {
         spes_[s]->mfc().registerMetrics(
             reg, util::format("spe%u.mfc", s));
+    }
+    if (cfg_.verify) {
+        reg.counter("verify.transfers_checked")
+            .add(verifyStats_.transfersChecked);
+        reg.counter("verify.bytes_checked").add(verifyStats_.bytesChecked);
+        reg.counter("verify.divergences").add(verifyStats_.divergences);
+        reg.counter("verify.faulted_skipped")
+            .add(verifyStats_.faultedSkipped);
     }
     if (cfg_.simProfile) {
         std::array<sim::EventQueue::TagProfile,

@@ -124,17 +124,19 @@ class CellSystem
      * launched program has not finished (deadlock); rethrows the first
      * program exception; panic()s if a drained system still holds an
      * in-flight line, an MFC command, token or tag, or an undelivered
-     * cross-partition message.
+     * cross-partition message; under --verify, fatal()s naming the
+     * first transfer that diverged from the backing store.
      */
     void run();
 
     /**
      * Accumulate every component's utilization counters into @p reg
      * (EIB rings, DRAM banks, MFC queues, PPE caches, plus `sim.runs`
-     * and `sim.ticks`).  Counters *add* into @p reg, so snapshotting
-     * several runs into one registry yields across-run totals; all
-     * accumulation is commutative, keeping parallel seed sweeps
-     * deterministic.  Call after run().
+     * and `sim.ticks`; under --verify also the `verify.*` counts).
+     * Counters *add* into @p reg, so snapshotting several runs into
+     * one registry yields across-run totals; all accumulation is
+     * commutative, keeping parallel seed sweeps deterministic.  Call
+     * after run().
      */
     void snapshotMetrics(stats::MetricsRegistry &reg) const;
 
@@ -144,7 +146,8 @@ class CellSystem
      *  end-to-end: the LS bytes and the backing-store bytes of each
      *  transferred segment must agree once the command reports done.
      *  Faulted commands (dropped/corrupted) are *expected* to diverge
-     *  and are skipped — recovery is the program's job. */
+     *  and are skipped — recovery is the program's job.  Any other
+     *  divergence makes run() fatal(). */
     /** @{ */
     struct VerifyStats
     {
@@ -175,7 +178,6 @@ class CellSystem
     {
         return placement_;
     }
-    std::string placementString() const;
     /** @} */
 
   private:

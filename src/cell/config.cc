@@ -112,30 +112,6 @@ toString(AffinityPolicy a)
     return "?";
 }
 
-TaskPlacement
-placementFromString(const std::string &s)
-{
-    std::string v = util::toLower(s);
-    if (v == "round-robin" || v == "rr")
-        return TaskPlacement::RoundRobin;
-    if (v == "locality" || v == "local")
-        return TaskPlacement::Locality;
-    sim::fatal("unknown placement policy '%s' "
-               "(expected round-robin|locality)", s.c_str());
-}
-
-const char *
-toString(TaskPlacement p)
-{
-    switch (p) {
-      case TaskPlacement::RoundRobin:
-        return "round-robin";
-      case TaskPlacement::Locality:
-        return "locality";
-    }
-    return "?";
-}
-
 void
 CellConfig::registerOptions(util::Options &opts)
 {
@@ -181,8 +157,6 @@ CellConfig::registerOptions(util::Options &opts)
                  "pin each flow to one EIB ring (vs per-packet choice)");
     opts.addString("affinity", "random",
                    "SPE placement policy: random|linear|paired");
-    opts.addString("placement", "round-robin",
-                   "cluster work placement: round-robin|locality");
     opts.addDouble("fault-drop-rate", 0.0,
                    "P(a DMA command is silently dropped)");
     opts.addDouble("fault-corrupt-rate", 0.0,
@@ -232,6 +206,12 @@ CellConfig::fromOptions(const util::Options &opts)
         cfg.numSpes > cfg.numChips * eib::numPhysicalSpes) {
         sim::fatal("--spes must be 1..%u with %u chip(s)",
                    cfg.numChips * eib::numPhysicalSpes, cfg.numChips);
+    }
+    // Components need at least one of each; say so before any output.
+    for (const char *flag : {"rings", "mfc-queue-depth", "mfc-mem-tokens",
+                             "mfc-ls-lines"}) {
+        if (opts.getUint(flag) == 0)
+            sim::fatal("--%s must be at least 1", flag);
     }
     cfg.eib.numRings = static_cast<unsigned>(opts.getUint("rings"));
     cfg.eib.cmdLatencyBus = opts.getUint("eib-cmd-latency");
@@ -289,7 +269,6 @@ CellConfig::fromOptions(const util::Options &opts)
 
     cfg.eib.flowPinning = opts.getBool("flow-pinning");
     cfg.affinity = affinityFromString(opts.getString("affinity"));
-    cfg.placement = placementFromString(opts.getString("placement"));
 
     auto &faults = cfg.spe.mfc.faults;
     faults.dropRate = opts.getDouble("fault-drop-rate");

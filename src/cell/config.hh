@@ -30,16 +30,6 @@ enum class AffinityPolicy
     Paired,     ///< logical 2k/2k+1 physically adjacent (paper's wish)
 };
 
-/**
- * Cluster-level work placement policy: which chip's SPEs a stencil
- * rank should run on relative to the memory it touches.
- */
-enum class TaskPlacement
-{
-    RoundRobin,  ///< spread ranks over the chips in rank order
-    Locality,    ///< run each rank on the chip that owns its pages
-};
-
 struct CellConfig
 {
     sim::ClockSpec clock;
@@ -77,12 +67,6 @@ struct CellConfig
     AffinityPolicy affinity = AffinityPolicy::Random;
 
     /**
-     * Cluster work placement (--placement).  No experiment reads it:
-     * cluster_halo sweeps both policies through core::HaloConfig.
-     */
-    TaskPlacement placement = TaskPlacement::RoundRobin;
-
-    /**
      * Checked mode: cross-check every completed DMA command against the
      * backing store and count divergences (--verify).  Fault-injection
      * knobs live in spe.mfc.faults (--fault-* flags).
@@ -116,10 +100,6 @@ struct CellConfig
 /** Parse an affinity policy name ("random", "linear", "paired"). */
 AffinityPolicy affinityFromString(const std::string &s);
 const char *toString(AffinityPolicy a);
-
-/** Parse a task placement name ("round-robin", "locality"). */
-TaskPlacement placementFromString(const std::string &s);
-const char *toString(TaskPlacement p);
 
 } // namespace cellbw::cell
 

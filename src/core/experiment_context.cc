@@ -88,7 +88,6 @@ ExperimentContext::parse(int argc, const char *const *argv)
                      repeatErr.c_str());
         return false;
     }
-    par.jobs = static_cast<unsigned>(opts.getUint("jobs"));
     bytesPerSpe = opts.getBytes("bytes-per-spe");
     csv = opts.getBool("csv");
     jsonPath = opts.getString("json");

@@ -37,6 +37,7 @@ namespace cellbw::core
 {
 
 class ResultCache;
+class WorkerPool;
 
 class ExperimentContext
 {
@@ -44,7 +45,14 @@ class ExperimentContext
     util::Options opts;
     cell::CellConfig cfg;
     RepeatSpec repeat;
-    ParallelSpec par;
+
+    /**
+     * Where repeatRuns() fans the seed sweep out; null runs it inline.
+     * The driver sets it: runExperimentCli() builds one pool per
+     * `cellbw run` (--jobs), suite and serve share theirs.
+     */
+    WorkerPool *pool = nullptr;
+
     std::uint64_t bytesPerSpe = 0;
     bool csv = false;
 

@@ -1,6 +1,9 @@
 #include "core/experiment_registry.hh"
 
 #include <cstdio>
+#include <optional>
+
+#include "core/worker_pool.hh"
 
 #include "sim/logging.hh"
 #include "util/strings.hh"
@@ -75,9 +78,18 @@ runExperimentCli(const std::string &name, int argc,
     ExperimentContext ctx(e->name, e->description, e->backend);
     if (!ctx.parse(argc, argv))
         return 1;
-    // A config the components reject (say --rings 0) throws from the
-    // body; report it like a bad flag instead of terminating.
+    // A config the components reject throws from the body, and so does
+    // a --jobs above the pool's cap; report either like a bad flag
+    // instead of terminating.
     try {
+        // One pool for every seed sweep of this run; --jobs 1 keeps
+        // them inline on this thread.
+        std::optional<WorkerPool> pool;
+        const std::uint64_t jobs = ctx.opts.getUint("jobs");
+        if (jobs != 1) {
+            pool.emplace(jobs);
+            ctx.pool = &*pool;
+        }
         return e->body(ctx);
     } catch (const sim::FatalError &err) {
         std::fprintf(stderr, "%s: %s\n", e->name.c_str(), err.what());

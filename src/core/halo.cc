@@ -101,6 +101,18 @@ haloRank(cell::CellSystem &sys, unsigned spe, unsigned rank,
 
 } // namespace
 
+const char *
+toString(TaskPlacement p)
+{
+    switch (p) {
+      case TaskPlacement::RoundRobin:
+        return "round-robin";
+      case TaskPlacement::Locality:
+        return "locality";
+    }
+    return "?";
+}
+
 HaloResult
 runClusterHalo(cell::CellSystem &sys, const HaloConfig &cfg)
 {
@@ -140,7 +152,7 @@ runClusterHalo(cell::CellSystem &sys, const HaloConfig &cfg)
     const Tick t0 = sys.now();
     for (unsigned r = 0; r < ranks; ++r) {
         unsigned spe;
-        if (cfg.placement == cell::TaskPlacement::Locality) {
+        if (cfg.placement == TaskPlacement::Locality) {
             spe = (r / cfg.ranksPerChip) * 8 + r % cfg.ranksPerChip;
         } else {
             // Scatter ranks over the chips in rank order, the way a

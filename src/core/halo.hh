@@ -10,7 +10,7 @@
  * — and overlaps that exchange with a double-buffered interior update
  * sweep (GET chunk, compute, PUT chunk), finishing with the boundary
  * compute + PUT once the halos land.  Work placement follows
- * cell::TaskPlacement: Locality pins each rank to an SPE of its home
+ * TaskPlacement: Locality pins each rank to an SPE of its home
  * chip so only the halos cross links; RoundRobin scatters ranks over
  * the chips so the whole interior stream rides the 7 GB/s links — the
  * paper conclusion's cross-chip warning, measured at cluster scale.
@@ -29,6 +29,18 @@
 
 namespace cellbw::core
 {
+
+/**
+ * Cluster-level work placement policy: which chip's SPEs a stencil
+ * rank should run on relative to the memory it touches.
+ */
+enum class TaskPlacement
+{
+    RoundRobin,  ///< spread ranks over the chips in rank order
+    Locality,    ///< run each rank on the chip that owns its pages
+};
+
+const char *toString(TaskPlacement p);
 
 struct HaloConfig
 {
@@ -54,7 +66,7 @@ struct HaloConfig
     Tick computeCyclesPerKiB = 64;
 
     /** Rank-to-chip placement policy. */
-    cell::TaskPlacement placement = cell::TaskPlacement::RoundRobin;
+    TaskPlacement placement = TaskPlacement::RoundRobin;
 };
 
 struct HaloResult

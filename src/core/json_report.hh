@@ -104,9 +104,6 @@ class JsonReport
     /** Render the complete document. */
     std::string render() const;
 
-    /** Write render() to @p path; false (errno set) on I/O failure. */
-    bool writeFile(const std::string &path) const;
-
   private:
     struct Point
     {

@@ -1,6 +1,5 @@
 #include "core/report.hh"
 
-#include "stats/table.hh"
 #include "util/strings.hh"
 
 namespace cellbw::core
@@ -27,27 +26,6 @@ elemLabel(std::uint32_t bytes)
     if (bytes >= 1024 && bytes % 1024 == 0)
         return util::format("%uKiB", bytes / 1024);
     return util::format("%uB", bytes);
-}
-
-std::vector<std::string>
-distCells(const stats::Distribution &d, bool full)
-{
-    if (!full)
-        return {stats::Table::num(d.mean())};
-    return {
-        stats::Table::num(d.min()),
-        stats::Table::num(d.max()),
-        stats::Table::num(d.median()),
-        stats::Table::num(d.mean()),
-    };
-}
-
-std::vector<std::string>
-distHeaders(bool full)
-{
-    if (!full)
-        return {"GB/s"};
-    return {"min", "max", "median", "mean"};
 }
 
 } // namespace cellbw::core

@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/distribution.hh"
-
 namespace cellbw::core
 {
 
@@ -23,13 +21,6 @@ std::vector<unsigned> ppeElemSizes();
 
 /** "128B", "1KiB", ... */
 std::string elemLabel(std::uint32_t bytes);
-
-/** {mean} formatted, or {min,max,median,mean} when @p full. */
-std::vector<std::string> distCells(const stats::Distribution &d,
-                                   bool full = false);
-
-/** Column headers matching distCells(). */
-std::vector<std::string> distHeaders(bool full = false);
 
 } // namespace cellbw::core
 

@@ -51,7 +51,7 @@ class ResultCache
      * The code-version salt.  Bump the trailing integer with any
      * change that can alter experiment results or report bytes.
      */
-    static constexpr const char *kSalt = "cellbw-results-5";
+    static constexpr const char *kSalt = "cellbw-results-6";
 
     static const char *salt() { return kSalt; }
 

@@ -1,10 +1,8 @@
 #include "core/runner.hh"
 
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/worker_pool.hh"
@@ -51,20 +49,6 @@ runOne(const cell::CellConfig &cfg, const RepeatSpec &spec,
         sys.snapshotMetrics(*spec.metrics);
     return sample;
 }
-
-} // namespace
-
-unsigned
-ParallelSpec::resolveJobs(unsigned runs) const
-{
-    unsigned j = jobs != 0 ? jobs : std::thread::hardware_concurrency();
-    if (j == 0)
-        j = 1;
-    return std::min(j, runs);
-}
-
-namespace
-{
 
 /**
  * Seed sweep through a shared pool: submit every run, wait for this
@@ -115,7 +99,7 @@ repeatRunsPooled(const cell::CellConfig &cfg, const RepeatSpec &spec,
 
 stats::Distribution
 repeatRuns(const cell::CellConfig &cfg, const RepeatSpec &requested,
-           const ExperimentBody &body, const ParallelSpec &par)
+           const ExperimentBody &body, WorkerPool *pool)
 {
     // Warmup runs execute serially up front and are discarded (no
     // sample, no metrics); the recorded sweep then starts at
@@ -131,53 +115,12 @@ repeatRuns(const cell::CellConfig &cfg, const RepeatSpec &requested,
         spec.warmup = 0;
     }
 
-    if (par.pool)
-        return repeatRunsPooled(cfg, spec, body, *par.pool);
+    if (pool)
+        return repeatRunsPooled(cfg, spec, body, *pool);
 
     stats::Distribution dist;
-    const unsigned jobs = par.resolveJobs(spec.runs);
-
-    if (jobs <= 1) {
-        for (unsigned r = 0; r < spec.runs; ++r)
-            dist.add(runOne(cfg, spec, spec.seed + r, body));
-        return dist;
-    }
-
-    // One slot per run, claimed by atomic counter; workers write only
-    // their own slots, so the only shared mutable state is the counter.
-    std::vector<double> results(spec.runs, 0.0);
-    std::atomic<unsigned> next{0};
-    std::exception_ptr firstError;
-    std::atomic<bool> failed{false};
-
-    auto worker = [&] {
-        for (;;) {
-            const unsigned r = next.fetch_add(1, std::memory_order_relaxed);
-            if (r >= spec.runs || failed.load(std::memory_order_relaxed))
-                return;
-            try {
-                results[r] = runOne(cfg, spec, spec.seed + r, body);
-            } catch (...) {
-                if (!failed.exchange(true))
-                    firstError = std::current_exception();
-                return;
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned j = 0; j < jobs; ++j)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-
-    if (failed.load())
-        std::rethrow_exception(firstError);
-
-    // Merge in seed order: bit-identical to the serial loop above.
     for (unsigned r = 0; r < spec.runs; ++r)
-        dist.add(results[r]);
+        dist.add(runOne(cfg, spec, spec.seed + r, body));
     return dist;
 }
 

@@ -9,8 +9,8 @@
  * exactly that: N fresh systems, N placement seeds, one Distribution.
  *
  * The N runs are completely independent — each owns a private
- * CellSystem (event queue, RNG, memory model) — so repeatRuns() fans
- * them out over a worker-thread pool.  Samples are merged in seed order
+ * CellSystem (event queue, RNG, memory model) — so repeatRuns() can fan
+ * them out over a shared WorkerPool.  Samples are merged in seed order
  * regardless of which worker finished first, so the resulting
  * Distribution is bit-identical to a serial sweep: --jobs only changes
  * wall-clock time, never results.
@@ -84,47 +84,23 @@ struct RepeatSpec
 
 class WorkerPool;
 
-/** How to spread the repeated runs across host threads. */
-struct ParallelSpec
-{
-    /**
-     * Worker threads for the seed sweep; 0 means
-     * std::thread::hardware_concurrency().  1 runs inline with no
-     * threads spawned.  Ignored when @ref pool is set.
-     */
-    unsigned jobs = 0;
-
-    /**
-     * When set, runs are submitted to this shared pool instead of
-     * spawning per-call threads — the suite driver points every
-     * experiment here so seed-sweeps batch ACROSS experiments.  The
-     * caller blocks until its own runs complete; results stay
-     * bit-identical (merge is in seed order either way).
-     */
-    WorkerPool *pool = nullptr;
-
-    /** The worker count actually used for @p runs repetitions. */
-    unsigned resolveJobs(unsigned runs) const;
-
-    static ParallelSpec serial() { return ParallelSpec{1}; }
-};
-
 using ExperimentBody = std::function<double(cell::CellSystem &)>;
 
 /**
  * Run @p body once per placement seed on a freshly constructed system
  * and collect the per-run GB/s samples.
  *
- * With @p par.jobs != 1 the runs execute concurrently, one CellSystem
- * per worker; @p body must therefore not mutate state shared between
- * invocations (all in-tree bodies only read their config and return a
- * bandwidth).  Output order is deterministic: sample i always comes
- * from seed + i.
+ * With a @p pool the runs execute concurrently on its workers, one
+ * CellSystem each, and the caller blocks until its own runs complete;
+ * @p body must therefore not mutate state shared between invocations
+ * (all in-tree bodies only read their config and return a bandwidth).
+ * Without one they run inline, in seed order.  Output order is
+ * deterministic either way: sample i always comes from seed + i.
  */
 stats::Distribution repeatRuns(const cell::CellConfig &cfg,
                                const RepeatSpec &spec,
                                const ExperimentBody &body,
-                               const ParallelSpec &par = {});
+                               WorkerPool *pool = nullptr);
 
 } // namespace cellbw::core
 

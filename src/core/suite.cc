@@ -157,7 +157,7 @@ runEntry(const SuiteSpec &spec, const std::string &suiteId,
         ctx.attachCache(&cache);
     }
 
-    ctx.par.pool = &pool;
+    ctx.pool = &pool;
     auto started = std::chrono::steady_clock::now();
     int rc = 1;
     try {

@@ -5,14 +5,18 @@
 namespace cellbw::core
 {
 
-WorkerPool::WorkerPool(unsigned workers)
+WorkerPool::WorkerPool(std::uint64_t workers)
 {
+    if (workers > kMaxWorkers) {
+        sim::fatal("WorkerPool: %llu workers requested, at most %u "
+                   "allowed", (unsigned long long)workers, kMaxWorkers);
+    }
     if (workers == 0)
         workers = std::thread::hardware_concurrency();
     if (workers == 0)
         workers = 1;
     threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
+    for (std::uint64_t i = 0; i < workers; ++i)
         threads_.emplace_back([this] { workerLoop(); });
 }
 

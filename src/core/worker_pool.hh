@@ -8,7 +8,7 @@
  * experiment's tail with the next one's head.  `cellbw suite` instead
  * runs every selected experiment against ONE WorkerPool: each
  * experiment submits its placement-seed runs here (via
- * ParallelSpec::pool) and waits for its own batch, so at any moment
+ * ExperimentContext::pool) and waits for its own batch, so at any moment
  * the pool's N workers are busy with whatever runs are ready,
  * regardless of which experiment they belong to.
  *
@@ -32,6 +32,7 @@
 #define CELLBW_CORE_WORKER_POOL_HH
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -44,8 +45,14 @@ namespace cellbw::core
 class WorkerPool
 {
   public:
-    /** Start @p workers threads; 0 means hardware_concurrency(). */
-    explicit WorkerPool(unsigned workers);
+    /** The most workers one pool may start. */
+    static constexpr unsigned kMaxWorkers = 1024;
+
+    /**
+     * Start @p workers threads; 0 means hardware_concurrency().  A
+     * count above kMaxWorkers is fatal() before any thread starts.
+     */
+    explicit WorkerPool(std::uint64_t workers);
 
     /** shutdown(): drains accepted tasks, then joins. */
     ~WorkerPool();

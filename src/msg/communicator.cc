@@ -35,7 +35,6 @@ Communicator::Communicator(cell::CellSystem &sys, unsigned ranks,
                 params_.slotsPerPair * params_.slotBytes);
         }
     }
-    barrierRelease_ = std::make_unique<sim::Signal>(eq);
 }
 
 Communicator::Pair &
@@ -201,69 +200,6 @@ Communicator::recoverDma(unsigned rank, unsigned tag)
                 mfc.put(f.lsa, f.segs[0].ea, f.segs[0].size, f.tag);
         }
         co_await mfc.tagWait(1u << tag);
-    }
-}
-
-sim::Task
-Communicator::barrier(unsigned self)
-{
-    if (self >= ranks_)
-        sim::fatal("communicator: bad rank %u", self);
-    // Model the flag write reaching the coordinating location.
-    co_await sim::Delay{sys_.eventQueue(), params_.notifyLatency};
-    std::uint64_t gen = barrierGeneration_;
-    if (++barrierWaiting_ == ranks_) {
-        barrierWaiting_ = 0;
-        ++barrierGeneration_;
-        barrierRelease_->notifyAll();
-        co_return;
-    }
-    while (barrierGeneration_ == gen)
-        co_await barrierRelease_->wait();
-}
-
-sim::Task
-Communicator::allreduceSum(unsigned self, LsAddr lsa,
-                           std::uint32_t elems)
-{
-    const std::uint32_t bytes = elems * 4;
-    if (elems == 0 || !util::isValidDmaSize(bytes))
-        sim::fatal("allreduce: %u floats is not a DMA-able size", elems);
-    auto &spe = sys_.spe(self);
-    LsAddr scratch = spe.lsAlloc(bytes, 16);
-    const unsigned last = ranks_ - 1;
-
-    auto add_into = [&](LsAddr acc, LsAddr other) -> sim::Task {
-        std::vector<float> a(elems), b(elems);
-        spe.ls().read(acc, a.data(), bytes);
-        spe.ls().read(other, b.data(), bytes);
-        for (std::uint32_t i = 0; i < elems; ++i)
-            a[i] += b[i];
-        spe.ls().write(acc, a.data(), bytes);
-        Tick done = spe.ls().reservePort(3 * bytes);
-        // 4-wide SIMD adds: elems/4 cycles of compute.
-        co_await spe.spu().cycles(elems / 4 + 1);
-        co_await sim::WaitUntil{sys_.eventQueue(), done};
-    };
-
-    // Reduce along the ring towards rank ranks-1.
-    if (self > 0) {
-        std::uint32_t got = 0;
-        co_await recv(self, self - 1, scratch, bytes, &got);
-        co_await add_into(lsa, scratch);
-    }
-    if (self < last) {
-        co_await send(self, self + 1, lsa, bytes);
-    }
-
-    // Broadcast the completed sum around the ring from rank ranks-1.
-    if (self == last) {
-        co_await send(self, 0, lsa, bytes);
-    } else {
-        co_await recv(self, (self == 0) ? last : self - 1, lsa, bytes,
-                      nullptr);
-        if (self + 1 != last)
-            co_await send(self, self + 1, lsa, bytes);
     }
 }
 

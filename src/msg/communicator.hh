@@ -5,10 +5,9 @@
  * The paper's abstract motivates the CBE for "applications using MPI
  * and streaming programming models"; contemporaries (Ohio State's Cell
  * MPI, Krishna et al.) built exactly this layer.  Communicator provides
- * ranks (one per SPE), point-to-point send/recv with the two classic
- * protocols, barriers and a ring allreduce — all moving real bytes over
- * the simulated MFC/EIB path, so the paper's bandwidth rules decide the
- * performance:
+ * ranks (one per SPE) and point-to-point send/recv with the two classic
+ * protocols, moving real bytes over the simulated MFC/EIB path, so the
+ * paper's bandwidth rules decide the performance:
  *
  *  - **eager** (small messages): the sender PUTs the payload directly
  *    into a credit-managed slot in the receiver's LS and posts a
@@ -87,17 +86,6 @@ class Communicator
     sim::Task recv(unsigned self, unsigned src, LsAddr lsa,
                    std::uint32_t maxBytes, std::uint32_t *outBytes);
 
-    /** Centralized counter barrier across all ranks. */
-    sim::Task barrier(unsigned self);
-
-    /**
-     * Ring allreduce (sum) of @p elems floats at @p lsa in every
-     * rank's LS; on completion every rank holds the elementwise sum.
-     * Requires the same @p elems on every rank and ranks >= 2.
-     */
-    sim::Task allreduceSum(unsigned self, LsAddr lsa,
-                           std::uint32_t elems);
-
     /** @name Statistics. */
     /** @{ */
     std::uint64_t eagerMessages() const { return eagerCount_; }
@@ -139,11 +127,6 @@ class Communicator
     CommunicatorParams params_;
     unsigned ranks_;
     std::vector<Pair> pairs_;           // ranks x ranks, src-major
-
-    // Centralized barrier state.
-    unsigned barrierWaiting_ = 0;
-    std::uint64_t barrierGeneration_ = 0;
-    std::unique_ptr<sim::Signal> barrierRelease_;
 
     std::uint64_t eagerCount_ = 0;
     std::uint64_t rndvCount_ = 0;

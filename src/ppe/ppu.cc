@@ -25,20 +25,6 @@ Ppu::Ppu(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
         t.lmq.assign(params_.lmqEntries, 0);
 }
 
-unsigned
-Ppu::loadCost(unsigned elemSize) const
-{
-    return elemSize >= 16 ? params_.vmxLoadCycles
-                          : params_.scalarLoadCycles;
-}
-
-unsigned
-Ppu::storeCost(unsigned elemSize) const
-{
-    return elemSize >= 16 ? params_.vmxStoreCycles
-                          : params_.scalarStoreCycles;
-}
-
 void
 Ppu::warm(EffAddr base, std::uint64_t bytes)
 {
@@ -71,11 +57,16 @@ Ppu::streamAccess(unsigned tid, EffAddr src, EffAddr dst,
     const bool do_store = (op == MemOp::Store || op == MemOp::Copy);
     const unsigned ops = line / elemSize;
 
+    // 16-byte elements go through the VMX unit, narrower ones are
+    // scalar accesses.
+    const bool vmx = elemSize >= 16;
     unsigned issue_per_line = 0;
     if (do_load)
-        issue_per_line += ops * loadCost(elemSize);
+        issue_per_line += ops * (vmx ? params_.vmxLoadCycles
+                                     : params_.scalarLoadCycles);
     if (do_store)
-        issue_per_line += ops * storeCost(elemSize);
+        issue_per_line += ops * (vmx ? params_.vmxStoreCycles
+                                     : params_.scalarStoreCycles);
 
     for (std::uint64_t off = 0; off < bytes; off += line) {
         // --- Issue phase: the shared 1-op/cycle load/store port. ---

@@ -127,9 +127,6 @@ class Ppu : public sim::SimObject
         Tick storeFreeAt = 0;
     };
 
-    unsigned loadCost(unsigned elemSize) const;
-    unsigned storeCost(unsigned elemSize) const;
-
     sim::ClockSpec clock_;
     PpuParams params_;
     mem::BackingStore *store_;

@@ -640,7 +640,7 @@ Server::runJob(const std::shared_ptr<Job> &job)
     } else {
         if (spec_.useCache)
             ctx.attachCache(&cache_);
-        ctx.par.pool = &pool_;
+        ctx.pool = &pool_;
         try {
             int rc = e->body(ctx);
             if (rc != 0)

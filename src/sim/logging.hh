@@ -1,13 +1,12 @@
 /**
  * @file
- * Status/error reporting in the gem5 tradition.
+ * Error reporting in the gem5 tradition.
  *
  * - panic():  a simulator bug; something that must never happen did.
  *             Aborts the process.
  * - fatal():  a user error (bad configuration, invalid experiment
  *             parameters).  Throws sim::FatalError so library users and
  *             tests can catch it.
- * - warn()/inform(): advisory output on stderr, filtered by verbosity.
  */
 
 #ifndef CELLBW_SIM_LOGGING_HH
@@ -27,31 +26,12 @@ class FatalError : public std::runtime_error
         : std::runtime_error(what) {}
 };
 
-/** Verbosity levels for inform()/warn()/debug(). */
-enum class LogLevel { Silent = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Global verbosity; defaults to Warn. */
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
 /** Report an internal simulator bug and abort. */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Report an unrecoverable user error; throws FatalError. */
 [[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Possibly-wrong behaviour the user should know about. */
-void warn(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Normal status messages. */
-void inform(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Verbose debugging output. */
-void debugLog(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 } // namespace cellbw::sim

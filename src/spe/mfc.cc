@@ -29,10 +29,9 @@ Mfc::Mfc(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
         sim::fatal("%s: fault rates must be >= 0 and sum to <= 1",
                    this->name().c_str());
     }
-    // Fixed command arena: both queues can be full at once, so size the
-    // slot store to the combined depth.  The vector never grows again;
-    // Command pointers stay valid for a command's lifetime.
-    const std::size_t slots = params_.queueDepth + params_.proxyQueueDepth;
+    // Fixed command arena, one slot per queue entry.  The vector never
+    // grows again; Command pointers stay valid for a command's lifetime.
+    const std::size_t slots = params_.queueDepth;
     slotStore_.resize(slots);
     freeSlots_.reserve(slots);
     for (std::size_t i = slots; i-- > 0;)
@@ -81,31 +80,24 @@ Mfc::validate(LsAddr lsa, const SegList &segs, bool isList) const
 }
 
 void
-Mfc::recordFault(DmaDir dir, bool isList, bool proxy, LsAddr lsa,
+Mfc::recordFault(DmaDir dir, bool isList, LsAddr lsa,
                  std::vector<ListElement> segs, unsigned tag,
                  MfcError code)
 {
-    sim::debugLog("%s: MFC fault on tag %u: %s", name().c_str(), tag,
-                  toString(code));
-    faultLog_.push_back({tag, dir, isList, proxy, lsa, std::move(segs),
-                         code, curTick()});
+    faultLog_.push_back({tag, dir, isList, lsa, std::move(segs), code,
+                         curTick()});
     ++commandsFaulted_;
 }
 
 bool
 Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
-             unsigned tag, Order order, bool proxy)
+             unsigned tag, Order order)
 {
     if (tag >= numTags)
         sim::fatal("%s: DMA tag %u out of range", name().c_str(), tag);
-    if (!proxy && spuCount_ >= params_.queueDepth) {
+    if (queue_.size() >= params_.queueDepth) {
         sim::fatal("%s: MFC command queue overflow; "
                    "co_await queueSpace() before issuing",
-                   name().c_str());
-    }
-    if (proxy && proxyCount_ >= params_.proxyQueueDepth) {
-        sim::fatal("%s: MFC proxy queue overflow; "
-                   "co_await proxyQueueSpace() before issuing",
                    name().c_str());
     }
     if (!handler_)
@@ -113,19 +105,18 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
     if (MfcError err = validate(lsa, segs, isList); err != MfcError::None) {
         // Recoverable rejection: nothing enters the queue, the error is
         // latched on the tag group for the program to poll.
-        recordFault(dir, isList, proxy, lsa, segs.toVector(), tag, err);
+        recordFault(dir, isList, lsa, segs.toVector(), tag, err);
         return false;
     }
 
-    // Take a slot from the arena.  The queue-full checks above bound
-    // live commands below the combined depth, so a slot is always free.
+    // Take a slot from the arena.  The queue-full check above bounds
+    // live commands below the depth, so a slot is always free.
     Command *c = freeSlots_.back();
     freeSlots_.pop_back();
     *c = Command{};
     c->dir = dir;
     c->tag = tag;
     c->isList = isList;
-    c->isProxy = proxy;
     c->order = order;
     c->lsaStart = lsa;
     c->lsaCursor = lsa;
@@ -148,14 +139,8 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
         }
     }
     queue_.push_back(c);
-    if (proxy)
-        ++proxyCount_;
-    else
-        ++spuCount_;
-    // Queue-depth histogram: occupancy as seen by each accepted
-    // command (both queues share the issue engine, so the combined
-    // depth is what governs issue waiting).
-    std::size_t depth = spuCount_ + proxyCount_;
+    // Queue-depth histogram: occupancy as seen by each accepted command.
+    std::size_t depth = queue_.size();
     if (depth >= depthHist_.size())
         depthHist_.resize(depth + 1, 0);
     ++depthHist_[depth];
@@ -163,22 +148,6 @@ Mfc::enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
     tagPendingMask_ |= 1u << tag;
     scheduleIssue();
     return true;
-}
-
-bool
-Mfc::proxyGet(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-              Order order)
-{
-    return enqueue(DmaDir::Get, false, lsa, SegList(ea, size), tag,
-                   order, true);
-}
-
-bool
-Mfc::proxyPut(LsAddr lsa, EffAddr ea, std::uint32_t size, unsigned tag,
-              Order order)
-{
-    return enqueue(DmaDir::Put, false, lsa, SegList(ea, size), tag,
-                   order, true);
 }
 
 bool
@@ -246,12 +215,6 @@ Mfc::takeFaults(unsigned tag)
         }
     }
     return out;
-}
-
-void
-Mfc::clearFaults()
-{
-    faultLog_.clear();
 }
 
 bool
@@ -432,23 +395,19 @@ Mfc::finalizeCompletion(Command *c)
 {
     c->done = true;
     if (c->injected != MfcError::None) {
-        recordFault(c->dir, c->isList, c->isProxy, c->lsaStart,
-                    c->segs.toVector(), c->tag, c->injected);
+        recordFault(c->dir, c->isList, c->lsaStart, c->segs.toVector(),
+                    c->tag, c->injected);
     }
     if (completionHook_) {
         completionHook_({speIndex_, c->tag, c->dir, c->isList,
-                         c->isProxy, c->lsaStart, c->segs.data(),
-                         c->segs.size(), c->injected});
+                         c->lsaStart, c->segs.data(), c->segs.size(),
+                         c->injected});
     }
     if (tagPending_[c->tag] == 0)
         sim::panic("%s: tag %u underflow", name().c_str(), c->tag);
     if (--tagPending_[c->tag] == 0)
         tagPendingMask_ &= ~(1u << c->tag);
     ++commandsCompleted_;
-    if (c->isProxy)
-        --proxyCount_;
-    else
-        --spuCount_;
     std::erase(queue_, c);
     // Recycle the arena slot; drop any list storage with it.  Nothing
     // references the command past this point: its line events have all
@@ -466,17 +425,10 @@ Mfc::wakeWaiters()
     // One queue slot opened: reserve it for one waiting producer so no
     // concurrently-running stream can steal it before the resume fires.
     if (!spaceWaiters_.empty() &&
-        spuCount_ + reservedSlots_ < params_.queueDepth) {
+        queue_.size() + reservedSlots_ < params_.queueDepth) {
         ++reservedSlots_;
         auto h = spaceWaiters_.front();
         spaceWaiters_.erase(spaceWaiters_.begin());
-        eventQueue().schedule(0, [h] { h.resume(); });
-    }
-    if (!proxyWaiters_.empty() &&
-        proxyCount_ + reservedProxySlots_ < params_.proxyQueueDepth) {
-        ++reservedProxySlots_;
-        auto h = proxyWaiters_.front();
-        proxyWaiters_.erase(proxyWaiters_.begin());
         eventQueue().schedule(0, [h] { h.resume(); });
     }
     // Wake every tag waiter whose mask is now clear.
@@ -504,9 +456,14 @@ Mfc::registerMetrics(stats::MetricsRegistry &reg,
     reg.counter(prefix + ".corruptions_injected")
         .add(corruptionsInjected_);
     reg.counter(prefix + ".delays_injected").add(delaysInjected_);
+    // The bucket bound (depth + 8) dates from when the histogram also
+    // counted an 8-entry proxy queue, and every report uses it.  The
+    // registry keeps the bound of a name's first registration, so an
+    // experiment that sweeps the depth (abl_queue_depth starts at 1)
+    // folds its deeper points into the last bucket; a bound of the
+    // depth alone would fold more of them and change that report.
     auto &hist = reg.histogram(prefix + ".queue_depth",
-                               params_.queueDepth +
-                                   params_.proxyQueueDepth);
+                               params_.queueDepth + 8);
     for (std::size_t d = 0; d < depthHist_.size(); ++d)
         hist.addBucket(d, depthHist_[d]);
 }

@@ -90,9 +90,6 @@ struct MfcParams
     /** Command-queue depth (CBEA: 16 SPU-side entries). */
     unsigned queueDepth = 16;
 
-    /** Proxy queue depth for PPE-issued commands (CBEA: 8 entries). */
-    unsigned proxyQueueDepth = 8;
-
     /**
      * Max main-memory lines (<=128 B each) in flight at once.  Models
      * the CBE resource-allocation tokens for XDR access; with the
@@ -197,7 +194,6 @@ class Mfc : public sim::SimObject
         unsigned tag;
         DmaDir dir;
         bool isList;
-        bool isProxy;
         LsAddr lsa;                     ///< original LS start address
         std::vector<ListElement> segs;  ///< original element list
         MfcError code;
@@ -212,9 +208,6 @@ class Mfc : public sim::SimObject
 
     /** Remove and return the fault records latched on @p tag. */
     std::vector<FaultRecord> takeFaults(unsigned tag);
-
-    /** Drop all latched fault records (mfc_write_tag_status ack). */
-    void clearFaults();
     /** @} */
 
     /**
@@ -229,7 +222,6 @@ class Mfc : public sim::SimObject
         unsigned tag;
         DmaDir dir;
         bool isList;
-        bool isProxy;
         LsAddr lsa;                         ///< original LS start
         const ListElement *segs;            ///< element view, numSegs long
         std::size_t numSegs;
@@ -243,58 +235,6 @@ class Mfc : public sim::SimObject
         completionHook_ = std::move(hook);
     }
 
-    /** @name Proxy commands: DMA issued on this MFC by the PPE (or
-     *        another SPE) through the memory-mapped problem-state
-     *        registers.  They share the issue engine and tag groups
-     *        with SPU commands but have their own 8-entry queue
-     *        (CBEA MFC proxy command queue). */
-    /** @{ */
-    bool proxyGet(LsAddr lsa, EffAddr ea, std::uint32_t size,
-                  unsigned tag, Order order = Order::None);
-    bool proxyPut(LsAddr lsa, EffAddr ea, std::uint32_t size,
-                  unsigned tag, Order order = Order::None);
-
-    unsigned
-    proxyQueueFree() const
-    {
-        auto used = proxyCount_ + reservedProxySlots_;
-        return used >= params_.proxyQueueDepth
-                   ? 0
-                   : params_.proxyQueueDepth - used;
-    }
-
-    bool proxyQueueFull() const { return proxyQueueFree() == 0; }
-
-    /** Awaitable mirror of queueSpace() for the proxy queue. */
-    struct ProxySpaceAwaiter
-    {
-        Mfc &mfc;
-        bool suspended = false;
-
-        bool await_ready() const { return !mfc.proxyQueueFull(); }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            suspended = true;
-            mfc.proxyWaiters_.push_back(h);
-        }
-
-        void
-        await_resume()
-        {
-            if (suspended) {
-                if (mfc.reservedProxySlots_ == 0)
-                    sim::panic("%s: proxy reservation underflow",
-                               mfc.name().c_str());
-                --mfc.reservedProxySlots_;
-            }
-        }
-    };
-
-    ProxySpaceAwaiter proxyQueueSpace() { return ProxySpaceAwaiter{*this}; }
-    /** @} */
-
     unsigned queueDepth() const { return params_.queueDepth; }
 
     /**
@@ -305,8 +245,10 @@ class Mfc : public sim::SimObject
     unsigned
     queueFree() const
     {
-        auto used = spuCount_ + reservedSlots_;
-        return used >= params_.queueDepth ? 0 : params_.queueDepth - used;
+        auto used = queue_.size() + reservedSlots_;
+        return used >= params_.queueDepth
+                   ? 0
+                   : params_.queueDepth - static_cast<unsigned>(used);
     }
 
     bool queueFull() const { return queueFree() == 0; }
@@ -399,8 +341,8 @@ class Mfc : public sim::SimObject
 
     /**
      * Command-queue occupancy histogram: index d counts the commands
-     * that were accepted when the combined SPU+proxy queue depth
-     * (including themselves) was d.  A distribution pinned at the
+     * that were accepted when the queue depth (including themselves)
+     * was d.  A distribution pinned at the
      * queue depth means the program saturates the MFC; one pinned at 1
      * means it never overlaps commands.
      */
@@ -428,7 +370,6 @@ class Mfc : public sim::SimObject
         DmaDir dir;
         unsigned tag;
         bool isList;
-        bool isProxy = false;
         Order order;
         LsAddr lsaStart;        ///< original LS address, for hooks/faults
         LsAddr lsaCursor;
@@ -452,13 +393,13 @@ class Mfc : public sim::SimObject
     };
 
     bool enqueue(DmaDir dir, bool isList, LsAddr lsa, SegList segs,
-                 unsigned tag, Order order, bool proxy = false);
+                 unsigned tag, Order order);
 
     /** Tag-group ordering: may @p c pass the issue engine now? */
     bool issuable(const Command &c) const;
     MfcError validate(LsAddr lsa, const SegList &segs,
                       bool isList) const;
-    void recordFault(DmaDir dir, bool isList, bool proxy, LsAddr lsa,
+    void recordFault(DmaDir dir, bool isList, LsAddr lsa,
                      std::vector<ListElement> segs, unsigned tag,
                      MfcError code);
     void scheduleIssue();
@@ -475,14 +416,13 @@ class Mfc : public sim::SimObject
     LineHandler handler_;
 
     /**
-     * Command storage: a fixed arena sized to the combined SPU+proxy
-     * queue depth at construction.  Slots are address-stable for a
-     * command's lifetime (in-flight events hold Command pointers) and
-     * recycle through freeSlots_, so steady-state command traffic
-     * allocates nothing.  queue_ lists the live commands in arrival
-     * order — the order CBEA tag-group fences/barriers are defined
-     * over; at <= 24 entries a contiguous pointer vector beats the
-     * pointer-chase of the std::list it replaces.
+     * Command storage: a fixed arena sized to the queue depth at
+     * construction.  Slots are address-stable for a command's lifetime
+     * (in-flight events hold Command pointers) and recycle through
+     * freeSlots_, so steady-state command traffic allocates nothing.
+     * queue_ lists the live commands in arrival order — the order CBEA
+     * tag-group fences/barriers are defined over; at <= 16 entries a
+     * contiguous pointer vector beats the pointer-chase of a std::list.
      */
     std::vector<Command> slotStore_;
     std::vector<Command *> freeSlots_;
@@ -490,7 +430,7 @@ class Mfc : public sim::SimObject
 
     /**
      * Issued commands with lines left to send, in round-robin order: a
-     * ring whose power-of-two capacity (>= the combined queue depth)
+     * ring whose power-of-two capacity (>= the queue depth)
      * is indexed by mask.  activeLs_ counts the ring's commands whose
      * next line targets an LS, so "every command is blocked" is O(1).
      */
@@ -536,10 +476,6 @@ class Mfc : public sim::SimObject
 
     std::vector<std::coroutine_handle<>> spaceWaiters_;
     unsigned reservedSlots_ = 0;
-    std::vector<std::coroutine_handle<>> proxyWaiters_;
-    unsigned reservedProxySlots_ = 0;
-    unsigned spuCount_ = 0;
-    unsigned proxyCount_ = 0;
     struct TagWaiter
     {
         std::uint32_t mask;

@@ -1,7 +1,7 @@
 /**
  * @file
- * One Synergistic Processor Element: SPU + Local Store + MFC +
- * mailboxes, plus its place in the machine.
+ * One Synergistic Processor Element: SPU + Local Store + MFC, plus
+ * its place in the machine.
  *
  * The distinction the paper hinges on: an SPE has a *logical* index
  * (what libspe hands the programmer) and a *physical* ramp position on
@@ -15,9 +15,7 @@
 #include <memory>
 
 #include "spe/local_store.hh"
-#include "spe/mailbox.hh"
 #include "spe/mfc.hh"
-#include "spe/signal_notify.hh"
 #include "spe/spu.hh"
 
 namespace cellbw::spe
@@ -39,10 +37,6 @@ class Spe : public sim::SimObject
     LocalStore &ls() { return *ls_; }
     Mfc &mfc() { return *mfc_; }
     Spu &spu() { return *spu_; }
-    Mailbox &inboundMailbox() { return *inbound_; }
-    Mailbox &outboundMailbox() { return *outbound_; }
-    SignalNotify &signal1() { return *sig1_; }
-    SignalNotify &signal2() { return *sig2_; }
 
     /** Logical index, 0-7, as seen through libspe. */
     unsigned logicalIndex() const { return logicalIndex_; }
@@ -67,10 +61,6 @@ class Spe : public sim::SimObject
     std::unique_ptr<LocalStore> ls_;
     std::unique_ptr<Mfc> mfc_;
     std::unique_ptr<Spu> spu_;
-    std::unique_ptr<Mailbox> inbound_;
-    std::unique_ptr<Mailbox> outbound_;
-    std::unique_ptr<SignalNotify> sig1_;
-    std::unique_ptr<SignalNotify> sig2_;
 };
 
 } // namespace cellbw::spe

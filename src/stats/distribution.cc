@@ -9,70 +9,11 @@ namespace cellbw::stats
 {
 
 void
-Accumulator::add(double v)
-{
-    if (n_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++n_;
-    sum_ += v;
-    double delta = v - m_;
-    m_ += delta / static_cast<double>(n_);
-    s_ += delta * (v - m_);
-}
-
-void
-Accumulator::reset()
-{
-    *this = Accumulator();
-}
-
-double
-Accumulator::mean() const
-{
-    return n_ ? m_ : 0.0;
-}
-
-double
-Accumulator::variance() const
-{
-    return n_ > 1 ? s_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-Accumulator::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-Accumulator::min() const
-{
-    return n_ ? min_ : 0.0;
-}
-
-double
-Accumulator::max() const
-{
-    return n_ ? max_ : 0.0;
-}
-
-void
 Distribution::add(double v)
 {
     samples_.push_back(v);
     sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v),
                    v);
-}
-
-void
-Distribution::reset()
-{
-    samples_.clear();
-    sorted_.clear();
 }
 
 double

@@ -16,37 +16,11 @@
 namespace cellbw::stats
 {
 
-/** Streaming mean/variance/extrema without sample storage. */
-class Accumulator
-{
-  public:
-    void add(double v);
-    void reset();
-
-    std::size_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const;
-    /** Unbiased sample variance; 0 for fewer than two samples. */
-    double variance() const;
-    double stddev() const;
-    double min() const;
-    double max() const;
-
-  private:
-    std::size_t n_ = 0;
-    double sum_ = 0.0;
-    double m_ = 0.0;   // running mean (Welford)
-    double s_ = 0.0;   // running sum of squared deviations
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /** Exact sample statistics with storage. */
 class Distribution
 {
   public:
     void add(double v);
-    void reset();
 
     std::size_t count() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }

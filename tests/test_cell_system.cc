@@ -168,11 +168,12 @@ TEST(CellSystem, DeadlockedProgramIsReported)
 {
     cell::CellConfig cfg;
     cell::CellSystem sys(cfg, 1);
-    auto stuck = [](cell::CellSystem &s) -> sim::Task {
-        // Nobody ever writes this mailbox.
-        co_await s.spe(0).inboundMailbox().read();
+    sim::Signal never(sys.eventQueue());
+    auto stuck = [](sim::Signal &sig) -> sim::Task {
+        // Nobody ever notifies this signal.
+        co_await sig.wait();
     };
-    sys.launch(stuck(sys));
+    sys.launch(stuck(never));
     EXPECT_THROW(sys.run(), sim::FatalError);
 }
 

@@ -1,8 +1,9 @@
 # Exercises the cellbw driver's error paths end to end: unknown
 # experiment names, malformed manifests, a corrupted cache entry
 # (which must degrade to a miss, not poison the run), validate
-# against a missing baseline directory, the retired --sim-jobs and
-# --trace-capacity flags, and configs that fail validation.
+# against a missing baseline directory, the retired --sim-jobs,
+# --trace-capacity and --placement flags, configs that fail
+# validation, out-of-range --jobs values, and the --verify counts.
 #
 # Usage:
 #   cmake -DCELLBW=<cellbw> -DWORKDIR=<scratch dir> -P test_cellbw_cli.cmake
@@ -143,9 +144,10 @@ if(NOT noval_err MATCHES "cellbw validate:")
 endif()
 
 # --- 5. Retired flags are rejected by name -------------------------
-# Runs are serial inside one simulation, and there is no event
-# recorder: the flags that once picked a thread count for the
-# partitioned engine and bounded the recorder must fail loudly, not be
+# Runs are serial inside one simulation, there is no event recorder,
+# and cluster placement is swept by cluster_halo itself: the flags that
+# once picked a thread count for the partitioned engine, bounded the
+# recorder and set a placement nothing read must fail loudly, not be
 # silently ignored.
 run_cellbw(simjobs nonzero run abl_dualchip --quick --sim-jobs 2)
 if(NOT simjobs_err MATCHES "--sim-jobs")
@@ -157,20 +159,58 @@ if(NOT tracecap_err MATCHES "--trace-capacity")
     message(FATAL_ERROR "--trace-capacity rejection does not name the "
                         "flag:\n${tracecap_err}")
 endif()
+run_cellbw(placement nonzero run cluster_halo --quick --placement locality)
+if(NOT placement_err MATCHES "--placement")
+    message(FATAL_ERROR "--placement rejection does not name the flag:\n"
+                        "${placement_err}")
+endif()
 
 # --- 6. Configs the components reject exit 1 with a named error -----
-# The EIB refuses zero rings only once the experiment builds a system;
-# that error must reach the user as a message, not as an abort.
-run_cellbw(rings0 1 run ls_spu_ls --quick --rings 0)
-if(NOT rings0_err MATCHES "ls_spu_ls: EIB needs at least one data ring")
-    message(FATAL_ERROR "--rings 0 message:\n${rings0_err}")
-endif()
+# A component of size zero is rejected while parsing: the run exits 1
+# naming the flag and prints nothing, not even the experiment header.
+foreach(flag rings mfc-queue-depth mfc-mem-tokens mfc-ls-lines)
+    run_cellbw(zero 1 run ls_spu_ls --quick --${flag} 0)
+    if(NOT zero_err MATCHES "ls_spu_ls: --${flag} must be at least 1")
+        message(FATAL_ERROR "--${flag} 0 message:\n${zero_err}")
+    endif()
+    if(NOT zero_out STREQUAL "")
+        message(FATAL_ERROR "--${flag} 0 printed to stdout:\n${zero_out}")
+    endif()
+endforeach()
 
 # A NaN clock is rejected while parsing, before any simulation can
 # spin on it.
 run_cellbw(ghznan 1 run fig08_spe_mem --quick --cpu-ghz nan)
 if(NOT ghznan_err MATCHES "--cpu-ghz must be finite")
     message(FATAL_ERROR "--cpu-ghz nan message:\n${ghznan_err}")
+endif()
+
+# --- 7. --jobs out of range is a usage error -------------------------
+# A negative count must not wrap to four billion workers: suite and
+# validate reject it before starting any pool.
+run_cellbw(suitejobs 2 suite ci --quick --jobs -1 --no-cache)
+if(NOT suitejobs_err MATCHES "bad --jobs value '-1'")
+    message(FATAL_ERROR "suite --jobs -1 message:\n${suitejobs_err}")
+endif()
+run_cellbw(valjobs 2 validate --quick --jobs -1 --no-cache)
+if(NOT valjobs_err MATCHES "bad --jobs value '-1'")
+    message(FATAL_ERROR "validate --jobs -1 message:\n${valjobs_err}")
+endif()
+
+# --- 8. --verify shows up in the report -----------------------------
+# Corrupted payloads are retried by the communicator; every transfer
+# that completed clean is checked and none diverges.
+run_cellbw(verify 0 run msg_pingpong --quick --fault-corrupt-rate=0.05
+           --verify --json verify.json)
+file(READ "${WORKDIR}/verify.json" verify_json)
+if(NOT verify_json MATCHES "\"verify\\.transfers_checked\": *([0-9]+)")
+    message(FATAL_ERROR "no verify.transfers_checked in the report")
+endif()
+if(CMAKE_MATCH_1 EQUAL 0)
+    message(FATAL_ERROR "--verify checked no transfers")
+endif()
+if(NOT verify_json MATCHES "\"verify\\.divergences\": *0[^0-9]")
+    message(FATAL_ERROR "--verify reports divergences:\n${verify_json}")
 endif()
 
 message(STATUS "cellbw CLI error paths behave")

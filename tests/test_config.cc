@@ -129,6 +129,13 @@ TEST(CellConfig, NonFiniteOrOutOfRangeMachineValuesAreFatal)
     for (const char *bad : {"--bank0-share=nan", "--bank0-share=-0.1",
                             "--bank0-share=1.5"})
         expectFatalNaming({bad}, "--bank0-share");
+    // A component of size zero is rejected while parsing, before any
+    // experiment prints its header.
+    for (const char *flag : {"rings", "mfc-queue-depth", "mfc-mem-tokens",
+                             "mfc-ls-lines"}) {
+        const std::string arg = std::string("--") + flag + "=0";
+        expectFatalNaming({arg.c_str()}, std::string("--") + flag);
+    }
     // Zero latency is a legal (if idealized) machine.
     auto zero = parse({"--mem-latency-ns=0", "--fault-delay-ns=0"});
     EXPECT_EQ(zero.memory.bank0.accessLatency, 0u);
@@ -138,12 +145,11 @@ TEST(CellConfig, NonFiniteOrOutOfRangeMachineValuesAreFatal)
 TEST(CellConfig, ClusterFlagsReachTheRightFields)
 {
     auto cfg = parse({"--chips=4", "--blades=2", "--spes=32",
-                      "--affinity=linear", "--placement=locality",
+                      "--affinity=linear",
                       "--blade-link-gbps=4", "--blade-latency=200",
                       "--ioif-latency=50"});
     EXPECT_EQ(cfg.numChips, 4u);
     EXPECT_EQ(cfg.numBlades, 2u);
-    EXPECT_EQ(cfg.placement, cell::TaskPlacement::Locality);
     EXPECT_NEAR(cfg.memory.bladeLink.bytesPerTick * cfg.clock.cpuHz / 1e9,
                 4.0, 1e-6);
     EXPECT_EQ(cfg.memory.bladeLink.crossingLatency,
@@ -152,22 +158,9 @@ TEST(CellConfig, ClusterFlagsReachTheRightFields)
     EXPECT_EQ(cfg.memory.numChips, 4u);
     EXPECT_EQ(cfg.memory.numBlades, 2u);
 
-    // Defaults: blades auto-derive, round-robin placement.
+    // Defaults: blades auto-derive.
     auto def = parse({"--chips=8", "--spes=64"});
     EXPECT_EQ(def.numBlades, 0u);
-    EXPECT_EQ(def.placement, cell::TaskPlacement::RoundRobin);
-}
-
-TEST(CellConfig, PlacementNamesRoundTrip)
-{
-    EXPECT_EQ(cell::placementFromString("round-robin"),
-              cell::TaskPlacement::RoundRobin);
-    EXPECT_EQ(cell::placementFromString("locality"),
-              cell::TaskPlacement::Locality);
-    EXPECT_STREQ(cell::toString(cell::TaskPlacement::Locality),
-                 "locality");
-    EXPECT_STREQ(cell::toString(cell::TaskPlacement::RoundRobin),
-                 "round-robin");
 }
 
 TEST(CellConfig, AffinityNamesRoundTrip)

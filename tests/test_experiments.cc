@@ -5,6 +5,7 @@
 
 #include "core/experiments.hh"
 #include "core/runner.hh"
+#include "core/worker_pool.hh"
 
 using namespace cellbw;
 
@@ -350,10 +351,9 @@ TEST(ExpRand, SamplesAreBitIdenticalAcrossJobs)
         return core::runRandGups(sys, gc);
     };
     core::RepeatSpec spec{4, 42};
-    auto serial = core::repeatRuns(cfg(), spec, body,
-                                   core::ParallelSpec::serial());
-    auto threaded = core::repeatRuns(cfg(), spec, body,
-                                     core::ParallelSpec{4});
+    core::WorkerPool pool(4);
+    auto serial = core::repeatRuns(cfg(), spec, body);
+    auto threaded = core::repeatRuns(cfg(), spec, body, &pool);
     EXPECT_EQ(serial.samples(), threaded.samples());
 
     auto chase = [](cell::CellSystem &sys) {
@@ -363,9 +363,7 @@ TEST(ExpRand, SamplesAreBitIdenticalAcrossJobs)
         rc.bytesPerSpe = 256 * util::KiB;
         return core::runRandChase(sys, rc);
     };
-    auto cs = core::repeatRuns(cfg(), spec, chase,
-                               core::ParallelSpec::serial());
-    auto ct = core::repeatRuns(cfg(), spec, chase,
-                               core::ParallelSpec{4});
+    auto cs = core::repeatRuns(cfg(), spec, chase);
+    auto ct = core::repeatRuns(cfg(), spec, chase, &pool);
     EXPECT_EQ(cs.samples(), ct.samples());
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "msg/communicator.hh"
+#include "stats/metrics.hh"
 #include "test_util.hh"
 
 using namespace cellbw;
@@ -185,4 +186,73 @@ TEST_F(FaultFixture, MessagePassingRetriesFaultedTransfers)
     EXPECT_GE(comm.dmaRetries(), comm.dmaFaults());
     EXPECT_EQ(sys.verifyStats().divergences, 0u)
         << sys.verifyStats().firstDivergence;
+}
+
+namespace
+{
+
+/** One 16 KiB GET on SPE 0; @p clobberAt > 0 overwrites the source in
+ *  the backing store that many ticks after the command is queued. */
+sim::Task
+getOnce(cell::CellSystem &sys, EffAddr src, Tick clobberAt)
+{
+    constexpr std::uint32_t bytes = 16 * 1024;
+    auto &mfc = sys.spe(0).mfc();
+    co_await mfc.queueSpace();
+    mfc.get(0, src, bytes, 0);
+    if (clobberAt) {
+        co_await sim::Delay{sys.eventQueue(), clobberAt};
+        sys.memory().store().fill(src, 0xEE, bytes);
+    }
+    co_await mfc.tagWait(1u << 0);
+}
+
+} // namespace
+
+TEST(VerifyMode, ADivergedTransferMakesRunFatal)
+{
+    // Overwrite the GET's source while its lines are in flight: the
+    // lines that already landed carry the old bytes, so the LS and the
+    // backing store disagree when the command completes.
+    cell::CellConfig cfg;
+    cfg.verify = true;
+    cell::CellSystem sys(cfg, 1);
+    EffAddr src = sys.malloc(16 * 1024);
+    sys.launch(getOnce(sys, src, 1500));
+    try {
+        sys.run();
+        FAIL() << "a diverged transfer passed --verify";
+    } catch (const sim::FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("1 transfer(s) diverged"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("spe0 tag 0 get"), std::string::npos) << what;
+    }
+    EXPECT_EQ(sys.verifyStats().divergences, 1u);
+}
+
+TEST(VerifyMode, CountsReachTheMetricsOnlyUnderVerify)
+{
+    for (bool verify : {false, true}) {
+        cell::CellConfig cfg;
+        cfg.verify = verify;
+        cell::CellSystem sys(cfg, 1);
+        EffAddr src = sys.malloc(16 * 1024);
+        sys.launch(getOnce(sys, src, 0));
+        sys.run();
+        stats::MetricsRegistry reg;
+        sys.snapshotMetrics(reg);
+        const auto *checked = reg.findCounter("verify.transfers_checked");
+        if (!verify) {
+            EXPECT_EQ(checked, nullptr);
+            EXPECT_EQ(reg.findCounter("verify.divergences"), nullptr);
+            continue;
+        }
+        ASSERT_NE(checked, nullptr);
+        EXPECT_EQ(checked->value(), 1u);
+        EXPECT_EQ(reg.findCounter("verify.bytes_checked")->value(),
+                  16u * 1024u);
+        EXPECT_EQ(reg.findCounter("verify.divergences")->value(), 0u);
+        EXPECT_EQ(reg.findCounter("verify.faulted_skipped")->value(), 0u);
+    }
 }

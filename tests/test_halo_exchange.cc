@@ -24,7 +24,7 @@ clusterConfig(unsigned chips)
 }
 
 core::HaloConfig
-smallHalo(cell::TaskPlacement placement)
+smallHalo(core::TaskPlacement placement)
 {
     core::HaloConfig hc;
     hc.slabBytes = 128 * util::KiB;
@@ -55,8 +55,8 @@ TEST(HaloExchange, SingleChipIsDegenerate)
     // crossing, and no byte ever touches a link.
     double gbps[2];
     int i = 0;
-    for (auto p : {cell::TaskPlacement::Locality,
-                   cell::TaskPlacement::RoundRobin}) {
+    for (auto p : {core::TaskPlacement::Locality,
+                   core::TaskPlacement::RoundRobin}) {
         cell::CellSystem sys(clusterConfig(1), 42);
         EXPECT_EQ(sys.engine().partitions(), 1u);
         auto res = core::runClusterHalo(sys, smallHalo(p));
@@ -72,7 +72,7 @@ TEST(HaloExchange, SingleChipIsDegenerate)
 TEST(HaloExchange, ByteAccountingAddsUp)
 {
     cell::CellSystem sys(clusterConfig(2), 42);
-    auto hc = smallHalo(cell::TaskPlacement::Locality);
+    auto hc = smallHalo(core::TaskPlacement::Locality);
     auto res = core::runClusterHalo(sys, hc);
     // 2 chips x 2 ranks, 2 steps: each rank-step GETs two halos and
     // moves the interior twice (GET + PUT) plus the boundary PUT.
@@ -93,7 +93,7 @@ TEST(HaloExchange, OnlyHalosCrossUnderLocality)
     // 3<->0) each carry one halo GET per side per step — four halo
     // payloads cross the IOIF per step, and nothing else does.
     cell::CellSystem sys(clusterConfig(2), 42);
-    auto hc = smallHalo(cell::TaskPlacement::Locality);
+    auto hc = smallHalo(core::TaskPlacement::Locality);
     core::runClusterHalo(sys, hc);
     const std::uint64_t expected = 4ull * hc.haloBytes * hc.steps;
     EXPECT_EQ(totalLinkBytes(sys), expected);
@@ -107,10 +107,10 @@ TEST(HaloExchange, RoundRobinPushesInteriorAcrossLinks)
 {
     cell::CellSystem loc(clusterConfig(4), 42);
     auto res_loc =
-        core::runClusterHalo(loc, smallHalo(cell::TaskPlacement::Locality));
+        core::runClusterHalo(loc, smallHalo(core::TaskPlacement::Locality));
     cell::CellSystem rr(clusterConfig(4), 42);
     auto res_rr = core::runClusterHalo(
-        rr, smallHalo(cell::TaskPlacement::RoundRobin));
+        rr, smallHalo(core::TaskPlacement::RoundRobin));
 
     // Chip-blind placement drags interior streams over the links and
     // pays for it in bandwidth.
@@ -123,7 +123,7 @@ TEST(HaloExchange, CheckedModeSeesNoDivergence)
     auto cfg = clusterConfig(2);
     cfg.verify = true;
     cell::CellSystem sys(cfg, 42);
-    core::runClusterHalo(sys, smallHalo(cell::TaskPlacement::Locality));
+    core::runClusterHalo(sys, smallHalo(core::TaskPlacement::Locality));
     EXPECT_GT(sys.verifyStats().bytesChecked, 0u);
     EXPECT_EQ(sys.verifyStats().divergences, 0u);
 }
@@ -133,7 +133,7 @@ TEST(HaloExchange, DeterministicPerSeed)
     auto once = [] {
         cell::CellSystem sys(clusterConfig(2), 11);
         return core::runClusterHalo(
-                   sys, smallHalo(cell::TaskPlacement::RoundRobin))
+                   sys, smallHalo(core::TaskPlacement::RoundRobin))
             .gbps;
     };
     EXPECT_EQ(once(), once());
@@ -145,13 +145,13 @@ TEST(HaloExchange, RequiresLinearAffinityOverAllSlots)
     cfg.affinity = cell::AffinityPolicy::Random;
     cell::CellSystem random(cfg, 1);
     EXPECT_THROW(core::runClusterHalo(
-                     random, smallHalo(cell::TaskPlacement::Locality)),
+                     random, smallHalo(core::TaskPlacement::Locality)),
                  sim::FatalError);
 
     auto few = clusterConfig(2);
     few.numSpes = 8;    // not every slot active
     cell::CellSystem partial(few, 1);
     EXPECT_THROW(core::runClusterHalo(
-                     partial, smallHalo(cell::TaskPlacement::Locality)),
+                     partial, smallHalo(core::TaskPlacement::Locality)),
                  sim::FatalError);
 }

@@ -1,5 +1,4 @@
-/** @file Tests for MFC fence/barrier ordering, the proxy queue, and the
- *        signal-notification registers. */
+/** @file Tests for MFC fence/barrier ordering. */
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include "sim/clock.hh"
 #include "sim/task.hh"
 #include "spe/mfc.hh"
-#include "spe/signal_notify.hh"
 
 using namespace cellbw;
 using spe::Mfc;
@@ -139,130 +137,4 @@ TEST_F(OrderFixture, FencedPutFormsAPipelineStage)
             last_get_finish = static_cast<int>(i);
     // 8 get lines finished first.
     EXPECT_EQ(last_get_finish, 7);
-}
-
-/* --- Proxy queue ------------------------------------------------------ */
-
-TEST_F(OrderFixture, ProxyQueueHasItsOwnCapacity)
-{
-    params.queueDepth = 2;
-    params.proxyQueueDepth = 2;
-    auto mfc = make();
-    mfc->get(0, 0x1000, 128, 0);
-    mfc->get(128, 0x2000, 128, 0);
-    EXPECT_TRUE(mfc->queueFull());
-    EXPECT_FALSE(mfc->proxyQueueFull());
-    mfc->proxyGet(256, 0x3000, 128, 1);
-    mfc->proxyPut(384, 0x4000, 128, 1);
-    EXPECT_TRUE(mfc->proxyQueueFull());
-    EXPECT_THROW(mfc->proxyGet(512, 0x5000, 128, 1), sim::FatalError);
-    eq.run();
-    EXPECT_EQ(router.started.size(), 4u);
-    EXPECT_EQ(mfc->proxyQueueFree(), 2u);
-    EXPECT_EQ(mfc->queueFree(), 2u);
-}
-
-TEST_F(OrderFixture, ProxyCommandsShareTagCompletion)
-{
-    auto mfc = make();
-    mfc->proxyGet(0, 0x1000, 256, 7);
-    EXPECT_EQ(mfc->tagsPendingMask(), 1u << 7);
-    bool woke = false;
-    auto waiter_fn = [&]() -> sim::Task {
-        co_await mfc->tagWait(1u << 7);
-        woke = true;
-    };
-    sim::Task waiter = waiter_fn();
-    waiter.start();
-    eq.run();
-    EXPECT_TRUE(woke);
-}
-
-TEST_F(OrderFixture, ProxySpaceAwaiterAdmitsInOrder)
-{
-    params.proxyQueueDepth = 1;
-    auto mfc = make();
-    int issued = 0;
-    auto ppe_side_fn = [&]() -> sim::Task {
-        for (int i = 0; i < 5; ++i) {
-            co_await mfc->proxyQueueSpace();
-            mfc->proxyGet(static_cast<LsAddr>(i * 128),
-                          0x1000u + static_cast<EffAddr>(i) * 0x1000,
-                          128, 0);
-            ++issued;
-        }
-        co_await mfc->tagWait(1u << 0);
-    };
-    sim::Task ppe_side = ppe_side_fn();
-    ppe_side.start();
-    eq.run();
-    ppe_side.rethrow();
-    EXPECT_EQ(issued, 5);
-    EXPECT_EQ(router.started.size(), 5u);
-}
-
-/* --- Signal notification ---------------------------------------------- */
-
-TEST(SignalNotify, OrModeAccumulatesBits)
-{
-    sim::EventQueue eq;
-    spe::SignalNotify sig("sig", eq, spe::SignalNotify::Mode::Or);
-    sig.signal(0x1);
-    sig.signal(0x4);
-    std::uint32_t v = 0;
-    EXPECT_TRUE(sig.tryRead(v));
-    EXPECT_EQ(v, 0x5u);
-    EXPECT_FALSE(sig.tryRead(v));   // destructive read
-    EXPECT_EQ(sig.writeCount(), 2u);
-}
-
-TEST(SignalNotify, OverwriteModeKeepsLastValue)
-{
-    sim::EventQueue eq;
-    spe::SignalNotify sig("sig", eq, spe::SignalNotify::Mode::Overwrite);
-    sig.signal(0x1);
-    sig.signal(0x4);
-    std::uint32_t v = 0;
-    EXPECT_TRUE(sig.tryRead(v));
-    EXPECT_EQ(v, 0x4u);
-}
-
-TEST(SignalNotify, ReadBlocksUntilSignalled)
-{
-    sim::EventQueue eq;
-    spe::SignalNotify sig("sig", eq, spe::SignalNotify::Mode::Or);
-    std::uint32_t got = 0;
-    auto reader_fn = [&]() -> sim::Task {
-        got = co_await sig.read();
-    };
-    sim::Task reader = reader_fn();
-    reader.start();
-    eq.run();
-    EXPECT_FALSE(reader.done());
-    sig.signal(0xAB);
-    eq.run();
-    EXPECT_TRUE(reader.done());
-    EXPECT_EQ(got, 0xABu);
-    EXPECT_FALSE(sig.pending());
-}
-
-TEST(SignalNotify, BarrierStyleFanIn)
-{
-    // Eight "workers" each OR their bit; a collector waits until all
-    // eight bits are present.
-    sim::EventQueue eq;
-    spe::SignalNotify sig("sig", eq, spe::SignalNotify::Mode::Or);
-    std::uint32_t seen = 0;
-    auto collector_fn = [&]() -> sim::Task {
-        while (seen != 0xFF)
-            seen |= co_await sig.read();
-    };
-    sim::Task collector = collector_fn();
-    collector.start();
-    for (unsigned i = 0; i < 8; ++i) {
-        eq.schedule(10 * (i + 1), [&sig, i] { sig.signal(1u << i); });
-    }
-    eq.run();
-    EXPECT_TRUE(collector.done());
-    EXPECT_EQ(seen, 0xFFu);
 }

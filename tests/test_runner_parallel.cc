@@ -1,13 +1,12 @@
-/** @file Serial-vs-parallel equivalence tests for core::repeatRuns. */
+/** @file Inline-vs-pooled equivalence tests for core::repeatRuns. */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
-#include <thread>
 
 #include "core/experiments.hh"
 #include "core/runner.hh"
+#include "core/worker_pool.hh"
 #include "stats/metrics.hh"
 
 using namespace cellbw;
@@ -28,24 +27,14 @@ speSpeBody(cell::CellSystem &sys)
 
 } // namespace
 
-TEST(ParallelRunner, ResolveJobsClampsAndDefaults)
-{
-    EXPECT_EQ(core::ParallelSpec{1}.resolveJobs(10), 1u);
-    EXPECT_EQ(core::ParallelSpec{4}.resolveJobs(10), 4u);
-    EXPECT_EQ(core::ParallelSpec{8}.resolveJobs(3), 3u);   // <= runs
-    EXPECT_GE(core::ParallelSpec{0}.resolveJobs(16), 1u);  // auto
-    EXPECT_EQ(core::ParallelSpec::serial().jobs, 1u);
-}
-
 TEST(ParallelRunner, ParallelMatchesSerialBitIdentically)
 {
     cell::CellConfig cfg;
     core::RepeatSpec spec;  // the default 10 runs, seeds 42..51
-    auto serial =
-        core::repeatRuns(cfg, spec, speSpeBody, core::ParallelSpec{1});
-    for (unsigned jobs : {2u, 4u, 10u, 16u}) {
-        auto par = core::repeatRuns(cfg, spec, speSpeBody,
-                                    core::ParallelSpec{jobs});
+    auto serial = core::repeatRuns(cfg, spec, speSpeBody);
+    for (unsigned jobs : {1u, 2u, 4u, 10u, 16u}) {
+        core::WorkerPool pool(jobs);
+        auto par = core::repeatRuns(cfg, spec, speSpeBody, &pool);
         // samples() preserves run order, so this also checks that the
         // merge happens in seed order, not completion order.
         EXPECT_EQ(serial.samples(), par.samples()) << "jobs=" << jobs;
@@ -65,12 +54,13 @@ TEST(ParallelRunner, WarmupShiftsSeedsAndDiscardsSamples)
     core::RepeatSpec shifted;
     shifted.runs = 4;
     shifted.seed = 44;
-    auto a = core::repeatRuns(cfg, warm, speSpeBody,
-                              core::ParallelSpec{1});
-    auto b = core::repeatRuns(cfg, shifted, speSpeBody,
-                              core::ParallelSpec{1});
+    auto a = core::repeatRuns(cfg, warm, speSpeBody);
+    auto b = core::repeatRuns(cfg, shifted, speSpeBody);
     EXPECT_EQ(a.samples(), b.samples());
     EXPECT_EQ(a.count(), 4u);
+    core::WorkerPool pool(3);
+    EXPECT_EQ(core::repeatRuns(cfg, warm, speSpeBody, &pool).samples(),
+              b.samples());
 }
 
 TEST(ParallelRunner, MetricsAccumulateIdenticallyForAnyJobCount)
@@ -82,16 +72,16 @@ TEST(ParallelRunner, MetricsAccumulateIdenticallyForAnyJobCount)
     cell::CellConfig cfg;
     core::RepeatSpec spec{6, 42};
 
-    auto sweep = [&](unsigned jobs, stats::MetricsRegistry &reg) {
+    auto sweep = [&](core::WorkerPool *pool, stats::MetricsRegistry &reg) {
         core::RepeatSpec s = spec;
         s.metrics = &reg;
-        return core::repeatRuns(cfg, s, speSpeBody,
-                                core::ParallelSpec{jobs});
+        return core::repeatRuns(cfg, s, speSpeBody, pool);
     };
 
     stats::MetricsRegistry serial, parallel;
-    auto d1 = sweep(1, serial);
-    auto d4 = sweep(4, parallel);
+    core::WorkerPool pool(4);
+    auto d1 = sweep(nullptr, serial);
+    auto d4 = sweep(&pool, parallel);
     EXPECT_EQ(d1.samples(), d4.samples());
 
     ASSERT_NE(serial.findCounter("sim.runs"), nullptr);
@@ -114,6 +104,7 @@ TEST(ParallelRunner, EachRunGetsItsOwnSeedExactlyOnce)
     cell::CellConfig cfg;
     core::RepeatSpec spec{7, 1234};
     std::atomic<unsigned> calls{0};
+    core::WorkerPool pool(4);
     auto d = core::repeatRuns(cfg, spec, [&](cell::CellSystem &sys) {
         calls.fetch_add(1, std::memory_order_relaxed);
         // Encode the placement permutation so equal placements from
@@ -122,7 +113,7 @@ TEST(ParallelRunner, EachRunGetsItsOwnSeedExactlyOnce)
         for (auto p : sys.placement())
             key = key * 16.0 + p;
         return key;
-    }, core::ParallelSpec{4});
+    }, &pool);
     EXPECT_EQ(calls.load(), 7u);
     EXPECT_EQ(d.count(), 7u);
 
@@ -131,7 +122,7 @@ TEST(ParallelRunner, EachRunGetsItsOwnSeedExactlyOnce)
         for (auto p : sys.placement())
             key = key * 16.0 + p;
         return key;
-    }, core::ParallelSpec{1});
+    });
     EXPECT_EQ(d.samples(), again.samples());
 }
 
@@ -139,8 +130,8 @@ TEST(ParallelRunner, MoreJobsThanRunsIsFine)
 {
     cell::CellConfig cfg;
     core::RepeatSpec spec{2, 7};
-    auto d = core::repeatRuns(cfg, spec, speSpeBody,
-                              core::ParallelSpec{64});
+    core::WorkerPool pool(64);
+    auto d = core::repeatRuns(cfg, spec, speSpeBody, &pool);
     EXPECT_EQ(d.count(), 2u);
 }
 
@@ -151,12 +142,10 @@ TEST(ParallelRunner, BodyExceptionsPropagate)
     auto bomb = [](cell::CellSystem &) -> double {
         throw std::runtime_error("boom");
     };
-    EXPECT_THROW(core::repeatRuns(cfg, spec, bomb,
-                                  core::ParallelSpec{3}),
+    core::WorkerPool pool(3);
+    EXPECT_THROW(core::repeatRuns(cfg, spec, bomb, &pool),
                  std::runtime_error);
-    EXPECT_THROW(core::repeatRuns(cfg, spec, bomb,
-                                  core::ParallelSpec{1}),
-                 std::runtime_error);
+    EXPECT_THROW(core::repeatRuns(cfg, spec, bomb), std::runtime_error);
 }
 
 TEST(ParallelRunner, WorkersSeeIndependentSystems)
@@ -166,10 +155,11 @@ TEST(ParallelRunner, WorkersSeeIndependentSystems)
     cell::CellConfig cfg;
     core::RepeatSpec spec{8, 42};
     std::atomic<bool> sawDirtySystem{false};
+    core::WorkerPool pool(4);
     core::repeatRuns(cfg, spec, [&](cell::CellSystem &sys) {
         if (sys.now() != 0)
             sawDirtySystem.store(true);
         return speSpeBody(sys);
-    }, core::ParallelSpec{4});
+    }, &pool);
     EXPECT_FALSE(sawDirtySystem.load());
 }

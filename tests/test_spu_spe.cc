@@ -126,13 +126,6 @@ TEST_F(SpuFixture, PhysicalPlacementIsRecorded)
     EXPECT_EQ(s->logicalIndex(), 0u);
 }
 
-TEST_F(SpuFixture, MailboxCapacitiesMatchCbea)
-{
-    auto s = make();
-    EXPECT_EQ(s->inboundMailbox().capacity(), 4u);
-    EXPECT_EQ(s->outboundMailbox().capacity(), 1u);
-}
-
 TEST_F(SpuFixture, SpuAndDmaShareTheLsPort)
 {
     auto s = make();

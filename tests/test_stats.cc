@@ -13,48 +13,6 @@
 
 using namespace cellbw;
 
-TEST(Accumulator, EmptyIsZero)
-{
-    stats::Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.stddev(), 0.0);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
-}
-
-TEST(Accumulator, BasicMoments)
-{
-    stats::Accumulator a;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        a.add(v);
-    EXPECT_EQ(a.count(), 8u);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-    EXPECT_NEAR(a.variance(), 32.0 / 7.0, 1e-12);   // unbiased
-    EXPECT_DOUBLE_EQ(a.sum(), 40.0);
-}
-
-TEST(Accumulator, SingleSampleHasZeroVariance)
-{
-    stats::Accumulator a;
-    a.add(3.5);
-    EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(a.min(), 3.5);
-    EXPECT_DOUBLE_EQ(a.max(), 3.5);
-}
-
-TEST(Accumulator, ResetClears)
-{
-    stats::Accumulator a;
-    a.add(1.0);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
 TEST(Distribution, MedianOddAndEven)
 {
     stats::Distribution d;

@@ -77,3 +77,18 @@ TEST(WorkerPool, DestructorSmokesAfterExplicitShutdown)
     pool.reset();
     EXPECT_EQ(ran.load(), 1);
 }
+
+TEST(WorkerPool, RejectsMoreWorkersThanTheCapBeforeStartingAny)
+{
+    // The check runs before the first thread starts, so neither call
+    // below creates a thread.  A 64-bit count is not truncated first.
+    const std::uint64_t over = core::WorkerPool::kMaxWorkers + 1ull;
+    try {
+        core::WorkerPool pool(over);
+        FAIL() << "a pool of " << over << " workers was accepted";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1025 workers"),
+                  std::string::npos) << e.what();
+    }
+    EXPECT_THROW(core::WorkerPool((1ull << 32) + 1), sim::FatalError);
+}
