@@ -23,24 +23,34 @@ run(core::ExperimentContext &b)
 {
     b.header("Ablation C", "couples & cycle under placement policies");
 
-    stats::Table table({"affinity", "topology", "GB/s(mean)",
-                        "GB/s(min)", "GB/s(max)", "of peak"});
-    for (auto aff : {cell::AffinityPolicy::Random,
-                     cell::AffinityPolicy::Linear,
-                     cell::AffinityPolicy::Paired}) {
+    const cell::AffinityPolicy policies[] = {
+        cell::AffinityPolicy::Random, cell::AffinityPolicy::Linear,
+        cell::AffinityPolicy::Paired};
+    const core::SpeSpeMode modes[] = {core::SpeSpeMode::Couples,
+                                      core::SpeSpeMode::Cycle};
+
+    core::Sweep sweep(b.repeat, b.pool);
+    for (auto aff : policies) {
         auto cfg = b.cfg;
         cfg.affinity = aff;
-        for (auto mode : {core::SpeSpeMode::Couples,
-                          core::SpeSpeMode::Cycle}) {
+        for (auto mode : modes) {
             core::SpeSpeConfig sc;
             sc.mode = mode;
             sc.numSpes = 8;
             sc.elemBytes = 4096;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            sweep.add(cfg, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.pool);
+            });
+        }
+    }
+
+    std::size_t point = 0;
+    stats::Table table({"affinity", "topology", "GB/s(mean)",
+                        "GB/s(min)", "GB/s(max)", "of peak"});
+    for (auto aff : policies) {
+        for (auto mode : modes) {
+            const auto &d = sweep.result(point++);
             double peak = 8 * b.cfg.rampPeakGBps();
             table.addRow({cell::toString(aff),
                           mode == core::SpeSpeMode::Cycle ? "cycle"

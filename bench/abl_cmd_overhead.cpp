@@ -28,23 +28,31 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
-    stats::Table table({"overhead(bus cyc)", "elem", "GB/s"});
-    stats::SeriesChart chart("pair GET+PUT GB/s vs element size, by "
-                             "issue overhead", xlabels);
-    for (Tick overhead : {Tick(6), Tick(12), Tick(24), Tick(48),
-                          Tick(96)}) {
+    const Tick overheads[] = {6, 12, 24, 48, 96};
+
+    core::Sweep sweep(b.repeat, b.pool);
+    for (Tick overhead : overheads) {
         auto cfg = b.cfg;
         cfg.spe.mfc.elemOverheadBus = overhead;
-        std::vector<double> series;
         for (auto e : elems) {
             core::SpeSpeConfig sc;
             sc.numSpes = 2;
             sc.elemBytes = e;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            sweep.add(cfg, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.pool);
+            });
+        }
+    }
+
+    std::size_t point = 0;
+    stats::Table table({"overhead(bus cyc)", "elem", "GB/s"});
+    stats::SeriesChart chart("pair GET+PUT GB/s vs element size, by "
+                             "issue overhead", xlabels);
+    for (Tick overhead : overheads) {
+        std::vector<double> series;
+        for (auto e : elems) {
+            const auto &d = sweep.result(point++);
             series.push_back(d.mean());
             table.addRow({std::to_string(overhead), core::elemLabel(e),
                           stats::Table::num(d.mean())});

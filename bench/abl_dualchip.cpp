@@ -45,6 +45,7 @@ run(core::ExperimentContext &b)
          cell::AffinityPolicy::Paired},
     };
 
+    core::Sweep sweep(b.repeat, b.pool);
     for (const auto &row : rows) {
         auto cfg = b.cfg;
         cfg.numChips = row.chips;
@@ -54,10 +55,14 @@ run(core::ExperimentContext &b)
         sc.numSpes = row.spes;
         sc.elemBytes = 4096;
         sc.bytesPerStream = b.bytesPerSpe;
-        auto d = core::repeatRuns(cfg, b.repeat,
-                                  [&](cell::CellSystem &sys) {
+        sweep.add(cfg, [sc](cell::CellSystem &sys) {
             return core::runSpeSpe(sys, sc);
-        }, b.pool);
+        });
+    }
+
+    std::size_t point = 0;
+    for (const auto &row : rows) {
+        const auto &d = sweep.result(point++);
         table.addRow({row.name, std::to_string(row.spes),
                       stats::Table::num(d.mean()),
                       stats::Table::num(d.min()),

@@ -23,11 +23,14 @@ run(core::ExperimentContext &b)
     b.header("Ablation D", "SPE pair, 4 KiB DMA-elem, queue depth x "
                            "sync policy");
 
-    stats::Table table({"queue depth", "sync-every", "GB/s"});
-    for (unsigned depth : {1u, 2u, 4u, 8u, 16u, 32u}) {
+    const unsigned depths[] = {1u, 2u, 4u, 8u, 16u, 32u};
+    const unsigned sync_every[] = {1u, 4u, 0u};
+
+    core::Sweep sweep(b.repeat, b.pool);
+    for (unsigned depth : depths) {
         auto cfg = b.cfg;
         cfg.spe.mfc.queueDepth = depth;
-        for (unsigned k : {1u, 4u, 0u}) {
+        for (unsigned k : sync_every) {
             if (k > depth && k != 0)
                 continue;
             core::SpeSpeConfig sc;
@@ -35,10 +38,19 @@ run(core::ExperimentContext &b)
             sc.elemBytes = 4096;
             sc.syncEvery = k;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            sweep.add(cfg, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.pool);
+            });
+        }
+    }
+
+    std::size_t point = 0;
+    stats::Table table({"queue depth", "sync-every", "GB/s"});
+    for (unsigned depth : depths) {
+        for (unsigned k : sync_every) {
+            if (k > depth && k != 0)
+                continue;
+            const auto &d = sweep.result(point++);
             table.addRow({std::to_string(depth),
                           k ? std::to_string(k) : "all",
                           stats::Table::num(d.mean())});

@@ -20,22 +20,32 @@ run(core::ExperimentContext &b)
 {
     b.header("Ablation A", "8-SPE cycle vs number of EIB data rings");
 
-    stats::Table table({"rings", "topology", "GB/s(mean)", "GB/s(min)",
-                        "GB/s(max)", "of peak"});
-    for (unsigned rings : {2u, 4u, 8u}) {
+    const unsigned ring_counts[] = {2u, 4u, 8u};
+    const core::SpeSpeMode modes[] = {core::SpeSpeMode::Couples,
+                                      core::SpeSpeMode::Cycle};
+
+    core::Sweep sweep(b.repeat, b.pool);
+    for (unsigned rings : ring_counts) {
         auto cfg = b.cfg;
         cfg.eib.numRings = rings;
-        for (auto mode : {core::SpeSpeMode::Couples,
-                          core::SpeSpeMode::Cycle}) {
+        for (auto mode : modes) {
             core::SpeSpeConfig sc;
             sc.mode = mode;
             sc.numSpes = 8;
             sc.elemBytes = 4096;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            sweep.add(cfg, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.pool);
+            });
+        }
+    }
+
+    std::size_t point = 0;
+    stats::Table table({"rings", "topology", "GB/s(mean)", "GB/s(min)",
+                        "GB/s(max)", "of peak"});
+    for (unsigned rings : ring_counts) {
+        for (auto mode : modes) {
+            const auto &d = sweep.result(point++);
             double peak = 8 * b.cfg.rampPeakGBps();
             table.addRow({std::to_string(rings),
                           mode == core::SpeSpeMode::Cycle ? "cycle"

@@ -61,7 +61,7 @@ run(core::ExperimentContext &b)
                 hc.bytesPerSpe = b.bytesPerSpe;
                 hc.placement = policy;
 
-                // Serial seed loop with repeatRuns()'s exact seed and
+                // Serial seed loop with core::Sweep's exact seed and
                 // warmup semantics: the per-run link counters feed the
                 // "link GB/s(max)" column, which the Distribution-only
                 // harness cannot surface.

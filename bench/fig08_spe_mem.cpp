@@ -33,6 +33,23 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    core::Sweep sweep(b.repeat, b.pool);
+    for (auto op : ops) {
+        for (unsigned n : spe_counts) {
+            for (auto e : elems) {
+                core::SpeMemConfig mc;
+                mc.numSpes = n;
+                mc.elemBytes = e;
+                mc.op = op;
+                mc.bytesPerSpe = b.bytesPerSpe;
+                sweep.add(b.cfg, [mc](cell::CellSystem &sys) {
+                    return core::runSpeMem(sys, mc);
+                });
+            }
+        }
+    }
+
+    std::size_t point = 0;
     for (auto op : ops) {
         stats::Table table({"op", "spes", "elem", "GB/s(mean)",
                             "GB/s(min)", "GB/s(max)"});
@@ -45,15 +62,7 @@ run(core::ExperimentContext &b)
         for (unsigned n : spe_counts) {
             std::vector<double> series;
             for (auto e : elems) {
-                core::SpeMemConfig mc;
-                mc.numSpes = n;
-                mc.elemBytes = e;
-                mc.op = op;
-                mc.bytesPerSpe = b.bytesPerSpe;
-                auto d = core::repeatRuns(b.cfg, b.repeat,
-                                          [&](cell::CellSystem &sys) {
-                    return core::runSpeMem(sys, mc);
-                }, b.pool);
+                const auto &d = sweep.result(point++);
                 series.push_back(d.mean());
                 table.addRow({core::toString(op), std::to_string(n),
                               core::elemLabel(e),

@@ -30,12 +30,8 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
-    stats::Table table({"sync-every", "elem", "GB/s(mean)", "GB/s(min)",
-                        "GB/s(max)"});
-    stats::SeriesChart chart("Fig 10: mean GB/s vs element size, by sync "
-                             "delay", xlabels);
+    core::Sweep sweep(b.repeat, b.pool);
     for (unsigned k : sync_every) {
-        std::vector<double> series;
         for (auto e : elems) {
             core::SpeSpeConfig sc;
             sc.mode = core::SpeSpeMode::Couples;
@@ -43,10 +39,21 @@ run(core::ExperimentContext &b)
             sc.elemBytes = e;
             sc.syncEvery = k;
             sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
+            sweep.add(b.cfg, [sc](cell::CellSystem &sys) {
                 return core::runSpeSpe(sys, sc);
-            }, b.pool);
+            });
+        }
+    }
+
+    std::size_t point = 0;
+    stats::Table table({"sync-every", "elem", "GB/s(mean)", "GB/s(min)",
+                        "GB/s(max)"});
+    stats::SeriesChart chart("Fig 10: mean GB/s vs element size, by sync "
+                             "delay", xlabels);
+    for (unsigned k : sync_every) {
+        std::vector<double> series;
+        for (auto e : elems) {
+            const auto &d = sweep.result(point++);
             series.push_back(d.mean());
             table.addRow({k ? std::to_string(k) : "all",
                           core::elemLabel(e),

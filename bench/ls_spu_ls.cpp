@@ -27,20 +27,29 @@ run(core::ExperimentContext &b)
     const ppe::MemOp ops[] = {ppe::MemOp::Load, ppe::MemOp::Store,
                               ppe::MemOp::Copy};
 
-    stats::Table table({"op", "elem", "GB/s"});
-    stats::BarChart chart("SPU<->LS bandwidth (peak 33.6 GB/s)", 48);
-    chart.setScaleMax(b.cfg.lsPeakGBps());
+    // One run per point: an SPU's accesses to its own LS do not
+    // depend on placement.
+    const core::RepeatSpec once{1, b.repeat.seed};
+    core::Sweep sweep(b.repeat, b.pool);
     for (auto op : ops) {
         for (auto e : elems) {
             core::SpuLsConfig lc;
             lc.elemSize = e;
             lc.op = op;
             lc.totalBytes = b.bytesPerSpe;
-            core::RepeatSpec once{1, b.repeat.seed};
-            auto d = core::repeatRuns(b.cfg, once,
-                                      [&](cell::CellSystem &sys) {
+            sweep.add(b.cfg, once, [lc](cell::CellSystem &sys) {
                 return core::runSpuLs(sys, lc);
-            }, b.pool);
+            });
+        }
+    }
+
+    std::size_t point = 0;
+    stats::Table table({"op", "elem", "GB/s"});
+    stats::BarChart chart("SPU<->LS bandwidth (peak 33.6 GB/s)", 48);
+    chart.setScaleMax(b.cfg.lsPeakGBps());
+    for (auto op : ops) {
+        for (auto e : elems) {
+            const auto &d = sweep.result(point++);
             table.addRow({core::toString(op), util::format("%uB", e),
                           stats::Table::num(d.mean())});
             chart.add(util::format("%s %2uB", core::toString(op), e),

@@ -20,17 +20,13 @@ namespace
 {
 
 /**
- * One ping-pong run; returns {half-round-trip-us, bandwidth GB/s}.
- * Under --verify the run's metrics go to @p metrics so the report
- * carries the verify.* counts; without it the report keeps the empty
- * metrics section it has always had.
+ * One ping-pong run of @p iters round trips of @p bytes on @p sys;
+ * returns its GB/s, with the half round trip in microseconds as the
+ * second value.
  */
-std::pair<double, double>
-pingpong(const cell::CellConfig &cfg, std::uint32_t bytes,
-         unsigned iters, std::uint64_t seed,
-         stats::MetricsRegistry *metrics)
+core::RunSample
+pingpong(cell::CellSystem &sys, std::uint32_t bytes, unsigned iters)
 {
-    cell::CellSystem sys(cfg, seed);
     msg::CommunicatorParams params;
     params.slotBytes = 2048;
     msg::Communicator comm(sys, 2, params);
@@ -55,12 +51,10 @@ pingpong(const cell::CellConfig &cfg, std::uint32_t bytes,
     sys.launch(ping());
     sys.launch(pong());
     sys.run();
-    if (cfg.verify && metrics)
-        sys.snapshotMetrics(*metrics);
-    double secs = cfg.clock.seconds(sys.now() - t0);
+    double secs = sys.config().clock.seconds(sys.now() - t0);
     double half_rt_us = secs * 1e6 / (2.0 * iters);
     double gbps = 2.0 * iters * static_cast<double>(bytes) / secs / 1e9;
-    return {half_rt_us, gbps};
+    return {gbps, half_rt_us};
 }
 
 int
@@ -69,18 +63,25 @@ run(core::ExperimentContext &b)
     b.header("MPI extension", "ping-pong over eager/rendezvous "
                               "protocols");
 
+    std::vector<std::uint32_t> sizes;
+    for (std::uint32_t bytes = 16; bytes <= 64 * 1024; bytes *= 4)
+        sizes.push_back(bytes);
+
+    core::Sweep sweep(b.repeat, b.pool);
+    for (std::uint32_t bytes : sizes) {
+        sweep.add(b.cfg, [bytes](cell::CellSystem &sys) {
+            return pingpong(sys, bytes, 64);
+        });
+    }
+
     stats::Table table({"bytes", "protocol", "half-RT(us)",
                         "GB/s(mean)", "GB/s(min)", "GB/s(max)"});
     std::vector<std::string> xlabels;
     std::vector<double> series;
-    for (std::uint32_t bytes = 16; bytes <= 64 * 1024; bytes *= 4) {
-        stats::Distribution lat, bw;
-        for (unsigned r = 0; r < b.repeat.runs; ++r) {
-            auto [l, g] = pingpong(b.cfg, bytes, 64, b.repeat.seed + r,
-                                   b.repeat.metrics);
-            lat.add(l);
-            bw.add(g);
-        }
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const std::uint32_t bytes = sizes[i];
+        const auto &bw = sweep.result(i);
+        const auto &lat = sweep.second(i);
         table.addRow({util::bytesToString(bytes),
                       bytes <= 2048 ? "eager" : "rendezvous",
                       stats::Table::num(lat.mean(), 3),

@@ -33,6 +33,22 @@ runPpeFigure(core::ExperimentContext &b, const char *figure,
     for (auto e : elems)
         xlabels.push_back(util::format("%uB", e));
 
+    // PPE runs are deterministic (no SPE placement): one run suffices.
+    const core::RepeatSpec once{1, b.repeat.seed};
+    core::Sweep sweep(b.repeat, b.pool);
+    for (auto op : ops) {
+        for (unsigned threads = 1; threads <= 2; ++threads) {
+            for (auto e : elems) {
+                auto cfg = factory(threads, e, op);
+                cfg.totalBytes = b.bytesPerSpe;
+                sweep.add(b.cfg, once, [cfg](cell::CellSystem &sys) {
+                    return core::runPpeStream(sys, cfg);
+                });
+            }
+        }
+    }
+
+    std::size_t point = 0;
     for (auto op : ops) {
         stats::Table table({"op", "threads", "elem", "GB/s"});
         stats::SeriesChart chart(
@@ -42,15 +58,7 @@ runPpeFigure(core::ExperimentContext &b, const char *figure,
         for (unsigned threads = 1; threads <= 2; ++threads) {
             std::vector<double> series;
             for (auto e : elems) {
-                auto cfg = factory(threads, e, op);
-                cfg.totalBytes = b.bytesPerSpe;
-                // PPE runs are deterministic (no SPE placement): one
-                // run suffices.
-                core::RepeatSpec once{1, b.repeat.seed};
-                auto d = core::repeatRuns(b.cfg, once,
-                                          [&](cell::CellSystem &sys) {
-                    return core::runPpeStream(sys, cfg);
-                }, b.pool);
+                const auto &d = sweep.result(point++);
                 series.push_back(d.mean());
                 table.addRow({core::toString(op),
                               std::to_string(threads),

@@ -32,6 +32,34 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    const unsigned per_lists[] = {4u, 16u, 64u, 256u, 1024u};
+
+    core::Sweep sweep(b.repeat, b.pool);
+    for (bool use_list : {false, true}) {
+        for (auto e : elems) {
+            core::RandChaseConfig cc;
+            cc.elemBytes = e;
+            cc.useList = use_list;
+            cc.bytesPerSpe = b.bytesPerSpe;
+            sweep.add(b.cfg, [cc](cell::CellSystem &sys) {
+                return core::runRandChase(sys, cc);
+            });
+        }
+    }
+    // List-length sweep: longer lists amortize the command header and
+    // deepen the gather pipeline until the LS landing slots cap it.
+    for (unsigned per_list : per_lists) {
+        core::RandChaseConfig cc;
+        cc.elemBytes = 16;
+        cc.useList = true;
+        cc.elemsPerList = per_list;
+        cc.bytesPerSpe = b.bytesPerSpe;
+        sweep.add(b.cfg, [cc](cell::CellSystem &sys) {
+            return core::runRandChase(sys, cc);
+        });
+    }
+
+    std::size_t point = 0;
     stats::Table table({"mode", "elem", "GB/s(mean)", "GB/s(min)",
                         "GB/s(max)"});
     stats::SeriesChart chart("Rand B: gather mean GB/s vs element size",
@@ -40,14 +68,7 @@ run(core::ExperimentContext &b)
         const char *mode = use_list ? "DMA-list" : "elem-GET";
         std::vector<double> series;
         for (auto e : elems) {
-            core::RandChaseConfig cc;
-            cc.elemBytes = e;
-            cc.useList = use_list;
-            cc.bytesPerSpe = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
-                return core::runRandChase(sys, cc);
-            }, b.pool);
+            const auto &d = sweep.result(point++);
             series.push_back(d.mean());
             table.addRow({mode, core::elemLabel(e),
                           stats::Table::num(d.mean()),
@@ -60,20 +81,10 @@ run(core::ExperimentContext &b)
     b.print(chart.render());
     b.printf("\n");
 
-    // List-length sweep: longer lists amortize the command header and
-    // deepen the gather pipeline until the LS landing slots cap it.
     stats::Table depth({"per-list", "GB/s(mean)", "GB/s(min)",
                         "GB/s(max)"});
-    for (unsigned per_list : {4u, 16u, 64u, 256u, 1024u}) {
-        core::RandChaseConfig cc;
-        cc.elemBytes = 16;
-        cc.useList = true;
-        cc.elemsPerList = per_list;
-        cc.bytesPerSpe = b.bytesPerSpe;
-        auto d = core::repeatRuns(b.cfg, b.repeat,
-                                  [&](cell::CellSystem &sys) {
-            return core::runRandChase(sys, cc);
-        }, b.pool);
+    for (unsigned per_list : per_lists) {
+        const auto &d = sweep.result(point++);
         depth.addRow({std::to_string(per_list),
                       stats::Table::num(d.mean()),
                       stats::Table::num(d.min()),

@@ -37,6 +37,37 @@ run(core::ExperimentContext &b)
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    core::Sweep sweep(b.repeat, b.pool);
+    for (const auto &tp : tables) {
+        for (auto e : elems) {
+            core::RandGupsConfig gc;
+            gc.elemBytes = e;
+            gc.tableBytes = tp.bytes;
+            gc.bytesPerSpe = b.bytesPerSpe;
+            sweep.add(b.cfg, [gc](cell::CellSystem &sys) {
+                return core::runRandGups(sys, gc);
+            });
+        }
+    }
+    // Row-buffer sensitivity: the identical update stream with the
+    // timing row model off vs on (open-page: every random update pays
+    // precharge+activate, a streaming access pattern would not).
+    for (const auto &tp : tables) {
+        for (bool timing : {false, true}) {
+            auto cfg = b.cfg;
+            cfg.memory.bank0.rowTiming = timing;
+            cfg.memory.bank1.rowTiming = timing;
+            core::RandGupsConfig gc;
+            gc.elemBytes = 64;
+            gc.tableBytes = tp.bytes;
+            gc.bytesPerSpe = b.bytesPerSpe;
+            sweep.add(cfg, [gc](cell::CellSystem &sys) {
+                return core::runRandGups(sys, gc);
+            });
+        }
+    }
+
+    std::size_t point = 0;
     // "tsize", not "table": the JSON report stamps every point with
     // the emitted table's name under the key "table".
     stats::Table table({"tsize", "elem", "GB/s(mean)", "GB/s(min)",
@@ -46,14 +77,7 @@ run(core::ExperimentContext &b)
     for (const auto &tp : tables) {
         std::vector<double> series;
         for (auto e : elems) {
-            core::RandGupsConfig gc;
-            gc.elemBytes = e;
-            gc.tableBytes = tp.bytes;
-            gc.bytesPerSpe = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
-                return core::runRandGups(sys, gc);
-            }, b.pool);
+            const auto &d = sweep.result(point++);
             series.push_back(d.mean());
             // One update moves 2*elem bytes (GET + PUT).
             double mups = d.mean() * 1e9 / (2.0 * e) / 1e6;
@@ -69,23 +93,10 @@ run(core::ExperimentContext &b)
     b.print(chart.render());
     b.printf("\n");
 
-    // Row-buffer sensitivity: the identical update stream with the
-    // timing row model off vs on (open-page: every random update pays
-    // precharge+activate, a streaming access pattern would not).
     stats::Table rows({"row timing", "tsize", "GB/s(mean)"});
     for (const auto &tp : tables) {
         for (bool timing : {false, true}) {
-            auto cfg = b.cfg;
-            cfg.memory.bank0.rowTiming = timing;
-            cfg.memory.bank1.rowTiming = timing;
-            core::RandGupsConfig gc;
-            gc.elemBytes = 64;
-            gc.tableBytes = tp.bytes;
-            gc.bytesPerSpe = b.bytesPerSpe;
-            auto d = core::repeatRuns(cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
-                return core::runRandGups(sys, gc);
-            }, b.pool);
+            const auto &d = sweep.result(point++);
             rows.addRow({timing ? "on" : "off", tp.label,
                          stats::Table::num(d.mean())});
         }

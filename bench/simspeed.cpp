@@ -119,14 +119,15 @@ BM_SeedSweep(benchmark::State &state)
         pool.emplace(jobs);
     core::WorkerPool *par = pool ? &*pool : nullptr;
     for (auto _ : state) {
-        auto d = core::repeatRuns(cfg, spec, [](cell::CellSystem &sys) {
+        core::Sweep sweep(spec, par);
+        sweep.add(cfg, [](cell::CellSystem &sys) {
             core::SpeSpeConfig sc;
             sc.numSpes = 8;
             sc.elemBytes = 4096;
             sc.bytesPerStream = 1 * util::MiB;
             return core::runSpeSpe(sys, sc);
-        }, par);
-        benchmark::DoNotOptimize(d.mean());
+        });
+        benchmark::DoNotOptimize(sweep.result(0).mean());
     }
     state.SetItemsProcessed(state.iterations() * spec.runs);
 }

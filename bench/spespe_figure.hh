@@ -37,6 +37,24 @@ runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    core::Sweep sweep(b.repeat, b.pool);
+    for (bool use_list : {false, true}) {
+        for (unsigned n : counts) {
+            for (auto e : elems) {
+                core::SpeSpeConfig sc;
+                sc.mode = mode;
+                sc.numSpes = n;
+                sc.elemBytes = e;
+                sc.useList = use_list;
+                sc.bytesPerStream = b.bytesPerSpe;
+                sweep.add(b.cfg, [sc](cell::CellSystem &sys) {
+                    return core::runSpeSpe(sys, sc);
+                });
+            }
+        }
+    }
+
+    std::size_t point = 0;
     for (bool use_list : {false, true}) {
         stats::Table table({"mode", "spes", "elem", "GB/s(mean)",
                             "GB/s(min)", "GB/s(max)"});
@@ -47,16 +65,7 @@ runSpeSpeSweep(core::ExperimentContext &b, const char *figure,
         for (unsigned n : counts) {
             std::vector<double> series;
             for (auto e : elems) {
-                core::SpeSpeConfig sc;
-                sc.mode = mode;
-                sc.numSpes = n;
-                sc.elemBytes = e;
-                sc.useList = use_list;
-                sc.bytesPerStream = b.bytesPerSpe;
-                auto d = core::repeatRuns(b.cfg, b.repeat,
-                                          [&](cell::CellSystem &sys) {
-                    return core::runSpeSpe(sys, sc);
-                }, b.pool);
+                const auto &d = sweep.result(point++);
                 series.push_back(d.mean());
                 table.addRow({use_list ? "DMA-list" : "DMA-elem",
                               std::to_string(n), core::elemLabel(e),
@@ -88,6 +97,22 @@ runSpeSpeDistribution(core::ExperimentContext &b, const char *figure,
     for (auto e : elems)
         xlabels.push_back(core::elemLabel(e));
 
+    core::Sweep sweep(b.repeat, b.pool);
+    for (bool use_list : {false, true}) {
+        for (auto e : elems) {
+            core::SpeSpeConfig sc;
+            sc.mode = mode;
+            sc.numSpes = 8;
+            sc.elemBytes = e;
+            sc.useList = use_list;
+            sc.bytesPerStream = b.bytesPerSpe;
+            sweep.add(b.cfg, [sc](cell::CellSystem &sys) {
+                return core::runSpeSpe(sys, sc);
+            });
+        }
+    }
+
+    std::size_t point = 0;
     for (bool use_list : {false, true}) {
         stats::Table table({"mode", "elem", "min", "max", "median",
                             "mean"});
@@ -97,16 +122,7 @@ runSpeSpeDistribution(core::ExperimentContext &b, const char *figure,
             xlabels);
         std::vector<double> mins, meds, maxs;
         for (auto e : elems) {
-            core::SpeSpeConfig sc;
-            sc.mode = mode;
-            sc.numSpes = 8;
-            sc.elemBytes = e;
-            sc.useList = use_list;
-            sc.bytesPerStream = b.bytesPerSpe;
-            auto d = core::repeatRuns(b.cfg, b.repeat,
-                                      [&](cell::CellSystem &sys) {
-                return core::runSpeSpe(sys, sc);
-            }, b.pool);
+            const auto &d = sweep.result(point++);
             mins.push_back(d.min());
             meds.push_back(d.median());
             maxs.push_back(d.max());

@@ -47,7 +47,8 @@ class ExperimentContext
     RepeatSpec repeat;
 
     /**
-     * Where repeatRuns() fans the seed sweep out; null runs it inline.
+     * Where the experiment's core::Sweep fans its runs out; null runs
+     * them inline.
      * The driver sets it: runExperimentCli() builds one pool per
      * `cellbw run` (--jobs), suite and serve share theirs.
      */

@@ -7,7 +7,7 @@
  * exactly as the paper does: bytes the benchmark moves (counting both
  * directions for copy) divided by elapsed time.
  *
- * Use core::repeatRuns() to execute a body over N placement-randomized
+ * Add a body to a core::Sweep to execute it over N placement-randomized
  * systems and obtain the min/max/median/mean distributions of
  * Figures 13 and 16.
  */

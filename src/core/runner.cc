@@ -1,11 +1,10 @@
 #include "core/runner.hh"
 
-#include <condition_variable>
 #include <exception>
-#include <mutex>
 #include <vector>
 
 #include "core/worker_pool.hh"
+#include "sim/logging.hh"
 #include "util/options.hh"
 
 namespace cellbw::core
@@ -36,92 +35,184 @@ RepeatSpec::fromOptions(const util::Options &opts, std::string &err)
     return true;
 }
 
-namespace
+struct Sweep::Point
 {
+    Point(const cell::CellConfig &c, const RepeatSpec &s,
+          ExperimentBody b)
+        : cfg(c), spec(s), body(std::move(b)),
+          pending(s.warmup + s.runs), samples(s.runs, RunSample(0.0))
+    {
+    }
 
-double
-runOne(const cell::CellConfig &cfg, const RepeatSpec &spec,
-       std::uint64_t seed, const ExperimentBody &body)
+    cell::CellConfig cfg;
+    RepeatSpec spec;
+    ExperimentBody body;
+
+    /** Runs not yet finished, warmups included. */
+    unsigned pending;
+    std::vector<RunSample> samples;
+    std::exception_ptr error;
+    unsigned errorRun = 0;
+
+    bool merged = false;
+    stats::Distribution dist;
+    stats::Distribution second;
+};
+
+Sweep::Sweep(const RepeatSpec &spec, WorkerPool *pool)
+    : spec_(spec), pool_(pool)
 {
-    cell::CellSystem sys(cfg, seed);
-    double sample = body(sys);
-    if (spec.metrics)
-        sys.snapshotMetrics(*spec.metrics);
-    return sample;
 }
 
-/**
- * Seed sweep through a shared pool: submit every run, wait for this
- * batch only.  The pool interleaves these tasks with other
- * experiments' runs; merging in seed order below keeps the result
- * bit-identical to the serial loop.
- */
-stats::Distribution
-repeatRunsPooled(const cell::CellConfig &cfg, const RepeatSpec &spec,
-                 const ExperimentBody &body, WorkerPool &pool)
+Sweep::~Sweep()
 {
-    std::vector<double> results(spec.runs, 0.0);
-    std::mutex m;
-    std::condition_variable cv;
-    unsigned done = 0;
-    std::exception_ptr firstError;
+    std::unique_lock<std::mutex> lock(mutex_);
+    cancelled_ = true;
+    cv_.wait(lock, [this] { return inflight_ == 0; });
+}
 
-    for (unsigned r = 0; r < spec.runs; ++r) {
-        pool.submit([&, r] {
-            double sample = 0.0;
-            std::exception_ptr err;
-            try {
-                sample = runOne(cfg, spec, spec.seed + r, body);
-            } catch (...) {
-                err = std::current_exception();
+std::size_t
+Sweep::add(const cell::CellConfig &cfg, ExperimentBody body)
+{
+    return add(cfg, spec_, std::move(body));
+}
+
+std::size_t
+Sweep::add(const cell::CellConfig &cfg, const RepeatSpec &spec,
+           ExperimentBody body)
+{
+    std::vector<Job> start;
+    std::size_t index;
+    Point *p;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        index = points_.size();
+        p = &points_.emplace_back(cfg, spec, std::move(body));
+        Job job;
+        while (pool_ && inflight_ < pool_->workers() && takeNext(job)) {
+            ++inflight_;
+            start.push_back(job);
+        }
+    }
+    if (!pool_) {
+        // Inline: this point's runs, in seed order, right now.
+        for (unsigned r = 0; r < spec.warmup + spec.runs; ++r)
+            execute({p, r});
+        return index;
+    }
+    for (const Job &job : start) {
+        try {
+            pool_->submit([this, job] { work(job); });
+        } catch (const sim::FatalError &) {
+            // The pool is draining: run here instead.
+            work(job);
+        }
+    }
+    return index;
+}
+
+bool
+Sweep::takeNext(Job &job)
+{
+    if (cancelled_)
+        return false;
+    while (nextPoint_ < points_.size()) {
+        Point &p = points_[nextPoint_];
+        if (nextRun_ < p.spec.warmup + p.spec.runs) {
+            job = {&p, nextRun_++};
+            return true;
+        }
+        ++nextPoint_;
+        nextRun_ = 0;
+    }
+    return false;
+}
+
+void
+Sweep::execute(const Job &job)
+{
+    // cfg, spec and body are never written after add(), so the run
+    // reads them without the lock.
+    Point &p = *job.point;
+    const bool recorded = job.run >= p.spec.warmup;
+    RunSample sample(0.0);
+    std::exception_ptr err;
+    try {
+        cell::CellSystem sys(p.cfg, p.spec.seed + job.run);
+        sample = p.body(sys);
+        if (recorded && p.spec.metrics)
+            sys.snapshotMetrics(*p.spec.metrics);
+    } catch (...) {
+        err = std::current_exception();
+    }
+
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (recorded)
+        p.samples[job.run - p.spec.warmup] = sample;
+    if (err && (!p.error || job.run < p.errorRun)) {
+        p.error = err;
+        p.errorRun = job.run;
+    }
+    if (--p.pending == 0)
+        cv_.notify_all();
+}
+
+void
+Sweep::work(Job job)
+{
+    for (;;) {
+        execute(job);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!takeNext(job)) {
+                // Notify under the lock: once inflight_ reaches 0 the
+                // destructor may free the condition variable.
+                if (--inflight_ == 0)
+                    cv_.notify_all();
+                return;
             }
-            std::lock_guard<std::mutex> lock(m);
-            results[r] = sample;
-            if (err && !firstError)
-                firstError = err;
-            if (++done == spec.runs)
-                cv.notify_one();
-        });
+        }
+        // The in-flight slot passes to the next run.  Resubmitting puts
+        // it behind every other sweep's runs in the pool's queue.
+        try {
+            pool_->submit([this, job] { work(job); });
+            return;
+        } catch (const sim::FatalError &) {
+            // The pool is draining: run it on this worker instead.
+        }
     }
-
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return done == spec.runs; });
-    if (firstError)
-        std::rethrow_exception(firstError);
-
-    stats::Distribution dist;
-    for (unsigned r = 0; r < spec.runs; ++r)
-        dist.add(results[r]);
-    return dist;
 }
 
-} // namespace
-
-stats::Distribution
-repeatRuns(const cell::CellConfig &cfg, const RepeatSpec &requested,
-           const ExperimentBody &body, WorkerPool *pool)
+Sweep::Point &
+Sweep::wait(std::size_t i)
 {
-    // Warmup runs execute serially up front and are discarded (no
-    // sample, no metrics); the recorded sweep then starts at
-    // seed + warmup, so the recorded samples are exactly those of a
-    // warmup-free sweep based at that seed.
-    RepeatSpec spec = requested;
-    if (spec.warmup > 0) {
-        RepeatSpec discard = spec;
-        discard.metrics = nullptr;
-        for (unsigned w = 0; w < spec.warmup; ++w)
-            runOne(cfg, discard, spec.seed + w, body);
-        spec.seed += spec.warmup;
-        spec.warmup = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (i >= points_.size())
+        sim::fatal("Sweep: no point %zu (%zu added)", i, points_.size());
+    Point &p = points_[i];
+    cv_.wait(lock, [&p] { return p.pending == 0; });
+    if (p.error)
+        std::rethrow_exception(p.error);
+    if (!p.merged) {
+        for (const RunSample &s : p.samples) {
+            p.dist.add(s.value);
+            p.second.add(s.second);
+        }
+        p.merged = true;
     }
+    return p;
+}
 
-    if (pool)
-        return repeatRunsPooled(cfg, spec, body, *pool);
+const stats::Distribution &
+Sweep::result(std::size_t i)
+{
+    return wait(i).dist;
+}
 
-    stats::Distribution dist;
-    for (unsigned r = 0; r < spec.runs; ++r)
-        dist.add(runOne(cfg, spec, spec.seed + r, body));
-    return dist;
+const stats::Distribution &
+Sweep::second(std::size_t i)
+{
+    return wait(i).second;
 }
 
 } // namespace cellbw::core

@@ -1,20 +1,19 @@
 /**
  * @file
- * A shared worker-thread pool for seed-sweep batching.
+ * A shared worker-thread pool for seed sweeps.
  *
- * Before the suite driver, every bench binary spun its own transient
- * pool inside each repeatRuns() call, so a campaign of 18 binaries
- * serialized at process boundaries and never overlapped one
- * experiment's tail with the next one's head.  `cellbw suite` instead
- * runs every selected experiment against ONE WorkerPool: each
- * experiment submits its placement-seed runs here (via
- * ExperimentContext::pool) and waits for its own batch, so at any moment
- * the pool's N workers are busy with whatever runs are ready,
- * regardless of which experiment they belong to.
+ * One process has one pool: `cellbw run` builds one for --jobs, and
+ * `cellbw suite` and `cellbw serve` run every experiment against theirs.
+ * Each experiment's core::Sweep (via ExperimentContext::pool) keeps up
+ * to workers() of its runs in the queue, and each run that finishes
+ * submits the sweep's next one, so at any moment the pool's N workers
+ * are busy with whatever runs are ready, regardless of which
+ * experiment or which point of it they belong to.
  *
  * Tasks must be independent (the seed-sweep runs are: one private
- * CellSystem each) and must never submit-and-wait recursively —
- * waiting happens on the submitting thread, never on a worker.
+ * CellSystem each) and must never wait on another task — waiting
+ * happens on the experiment's thread, never on a worker.  A task may
+ * submit another.
  *
  * Shutdown semantics (the serve daemon's drain path depends on these
  * being exact):

@@ -6,6 +6,7 @@
 
 #include "sim/logging.hh"
 #include "util/align.hh"
+#include "util/bytes.hh"
 
 namespace cellbw::mem
 {
@@ -45,7 +46,10 @@ BackingStore::write(EffAddr ea, const void *src, std::uint64_t size)
     while (size > 0) {
         std::uint64_t off = ea & pageMask_;
         std::uint64_t chunk = std::min(size, pageBytes_ - off);
-        std::memcpy(pageFor(ea) + off, p, chunk);
+        // An absent page already reads as zero: allocating it for a
+        // zero chunk would only grow the footprint.
+        if (pageForRead(ea) || !util::isAllZero(p, chunk))
+            std::memcpy(pageFor(ea) + off, p, chunk);
         ea += chunk;
         p += chunk;
         size -= chunk;

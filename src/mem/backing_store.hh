@@ -5,7 +5,9 @@
  *
  * DMA in the simulator moves real bytes so tests can assert end-to-end
  * data integrity, exactly like running the paper's codes would.  Storage
- * is allocated in 64 KB pages on first touch.
+ * is allocated in 64 KB pages on the first write of a non-zero byte:
+ * absent pages read as zero, so a zero write to one is dropped, and a
+ * workload that only moves zeros never allocates a page.
  */
 
 #ifndef CELLBW_MEM_BACKING_STORE_HH
@@ -26,7 +28,10 @@ class BackingStore
   public:
     explicit BackingStore(std::uint64_t pageBytes = 64 * util::KiB);
 
-    /** Copy @p size bytes from @p src into simulated memory at @p ea. */
+    /**
+     * Copy @p size bytes from @p src into simulated memory at @p ea.
+     * An all-zero chunk that lands on an absent page allocates nothing.
+     */
     void write(EffAddr ea, const void *src, std::uint64_t size);
 
     /** Copy @p size bytes out of simulated memory at @p ea into @p dst. */

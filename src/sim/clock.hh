@@ -3,9 +3,8 @@
  * Time-domain conversions.
  *
  * The simulator's tick is one CPU cycle.  The EIB and the MFC data paths
- * run at half the CPU clock ("bus cycles"); the SPE decrementer runs at
- * the timebase frequency.  All conversions live here so that no model
- * hard-codes 2.1 GHz.
+ * run at half the CPU clock ("bus cycles").  All conversions live here
+ * so that no model hard-codes 2.1 GHz.
  */
 
 #ifndef CELLBW_SIM_CLOCK_HH
@@ -26,9 +25,6 @@ struct ClockSpec
     /** Bus (EIB) cycles are this many CPU cycles long. */
     Tick busPeriodTicks = 2;
 
-    /** SPE decrementer frequency (time base), Hz. */
-    double timebaseHz = 14.318e6;
-
     double seconds(Tick t) const { return static_cast<double>(t) / cpuHz; }
 
     Tick
@@ -41,13 +37,6 @@ struct ClockSpec
 
     /** Convert bus cycles to ticks. */
     Tick busCycles(Tick n) const { return n * busPeriodTicks; }
-
-    /** Decrementer counts elapsed in @p t ticks. */
-    std::uint64_t
-    decrementerTicks(Tick t) const
-    {
-        return static_cast<std::uint64_t>(seconds(t) * timebaseHz);
-    }
 
     /**
      * Bandwidth in decimal GB/s for @p bytes moved in @p ticks, the

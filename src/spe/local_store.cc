@@ -3,11 +3,13 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
 #include "sim/logging.hh"
 #include "util/align.hh"
+#include "util/bytes.hh"
 
 namespace cellbw::spe
 {
@@ -29,6 +31,7 @@ LocalStore::LocalStore(std::string name, sim::EventQueue &eq,
                    std::strerror(errno));
     }
     data_ = static_cast<std::uint8_t *>(p);
+    written_.assign(util::divCeil(params_.sizeBytes, kPageBytes * 64u), 0);
 }
 
 LocalStore::~LocalStore()
@@ -46,10 +49,47 @@ LocalStore::checkRange(LsAddr lsa, std::uint32_t size) const
     }
 }
 
+bool
+LocalStore::anyWritten(LsAddr lsa, std::uint32_t size) const
+{
+    for (std::uint32_t pg = lsa / kPageBytes,
+                       last = (lsa + size - 1) / kPageBytes;
+         pg <= last; ++pg) {
+        if (written_[pg / 64] >> (pg % 64) & 1)
+            return true;
+    }
+    return false;
+}
+
+void
+LocalStore::markWritten(LsAddr lsa, std::uint32_t size)
+{
+    for (std::uint32_t pg = lsa / kPageBytes,
+                       last = (lsa + size - 1) / kPageBytes;
+         pg <= last; ++pg)
+        written_[pg / 64] |= std::uint64_t{1} << (pg % 64);
+}
+
+std::uint32_t
+LocalStore::writtenPages() const
+{
+    std::uint32_t n = 0;
+    for (std::uint64_t w : written_)
+        n += static_cast<std::uint32_t>(std::popcount(w));
+    return n;
+}
+
 void
 LocalStore::write(LsAddr lsa, const void *src, std::uint32_t size)
 {
     checkRange(lsa, size);
+    if (size == 0)
+        return;
+    // Unwritten pages already read as zero; writing zeros to them
+    // would only fault the pages in.
+    if (!anyWritten(lsa, size) && util::isAllZero(src, size))
+        return;
+    markWritten(lsa, size);
     std::memcpy(data_ + lsa, src, size);
 }
 
@@ -64,6 +104,9 @@ void
 LocalStore::fill(LsAddr lsa, std::uint8_t value, std::uint32_t size)
 {
     checkRange(lsa, size);
+    if (size == 0)
+        return;
+    markWritten(lsa, size);
     std::memset(data_ + lsa, value, size);
 }
 

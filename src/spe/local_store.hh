@@ -9,15 +9,19 @@
  *
  * Storage is a private anonymous mapping: the kernel supplies zero
  * pages on first touch, so constructing an LS writes no bytes and a run
- * pays only for the pages its DMA and SPU code actually touch (most
+ * pays only for the pages its DMA and SPU code actually write (most
  * experiments use a few tens of KiB of each 256 KiB store).  Untouched
- * bytes read as zero, as they did with eagerly zeroed storage.
+ * bytes read as zero, as they did with eagerly zeroed storage.  A
+ * bitmap records which 4 KiB pages have been written; an all-zero
+ * write whose pages were never written is dropped, so DMA that only
+ * moves zeros faults in no page at all.
  */
 
 #ifndef CELLBW_SPE_LOCAL_STORE_HH
 #define CELLBW_SPE_LOCAL_STORE_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/sim_object.hh"
 #include "util/types.hh"
@@ -62,12 +66,26 @@ class LocalStore : public sim::SimObject
 
     std::uint64_t bytesAccessed() const { return bytesAccessed_; }
 
+    /** Bytes per page of the written-page bitmap. */
+    static constexpr std::uint32_t kPageBytes = 4096;
+
+    /** Pages a write or fill has reached. */
+    std::uint32_t writtenPages() const;
+
   private:
     void checkRange(LsAddr lsa, std::uint32_t size) const;
+
+    /** @name Written-page bitmap over [lsa, lsa + size), size > 0. */
+    /** @{ */
+    bool anyWritten(LsAddr lsa, std::uint32_t size) const;
+    void markWritten(LsAddr lsa, std::uint32_t size);
+    /** @} */
 
     LocalStoreParams params_;
     /** sizeBytes of zero-on-first-touch mapping (nullptr if empty). */
     std::uint8_t *data_ = nullptr;
+    /** One bit per kPageBytes page; set once a write reaches it. */
+    std::vector<std::uint64_t> written_;
     Tick portFreeAt_ = 0;
     std::uint64_t bytesAccessed_ = 0;
 };

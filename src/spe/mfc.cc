@@ -456,14 +456,11 @@ Mfc::registerMetrics(stats::MetricsRegistry &reg,
     reg.counter(prefix + ".corruptions_injected")
         .add(corruptionsInjected_);
     reg.counter(prefix + ".delays_injected").add(delaysInjected_);
-    // The bucket bound (depth + 8) dates from when the histogram also
-    // counted an 8-entry proxy queue, and every report uses it.  The
-    // registry keeps the bound of a name's first registration, so an
-    // experiment that sweeps the depth (abl_queue_depth starts at 1)
-    // folds its deeper points into the last bucket; a bound of the
-    // depth alone would fold more of them and change that report.
+    // An accepted command sees at most queueDepth entries, so no sample
+    // folds into the last bucket; the registry keeps the largest bound
+    // any run asks for, so a sweep over the depth keeps every one.
     auto &hist = reg.histogram(prefix + ".queue_depth",
-                               params_.queueDepth + 8);
+                               params_.queueDepth);
     for (std::size_t d = 0; d < depthHist_.size(); ++d)
         hist.addBucket(d, depthHist_[d]);
 }

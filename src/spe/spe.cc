@@ -14,8 +14,8 @@ Spe::Spe(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
     ls_ = std::make_unique<LocalStore>(this->name() + ".ls", eq, params.ls);
     mfc_ = std::make_unique<Mfc>(this->name() + ".mfc", eq, clock,
                                  params.mfc, logicalIndex);
-    spu_ = std::make_unique<Spu>(this->name() + ".spu", eq, clock,
-                                 params.spu, *ls_);
+    spu_ = std::make_unique<Spu>(this->name() + ".spu", eq, params.spu,
+                                 *ls_);
 }
 
 void

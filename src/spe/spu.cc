@@ -8,10 +8,9 @@
 namespace cellbw::spe
 {
 
-Spu::Spu(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
-         const SpuParams &params, LocalStore &ls)
-    : sim::SimObject(std::move(name), eq), clock_(clock), params_(params),
-      ls_(ls)
+Spu::Spu(std::string name, sim::EventQueue &eq, const SpuParams &params,
+         LocalStore &ls)
+    : sim::SimObject(std::move(name), eq), params_(params), ls_(ls)
 {
 }
 

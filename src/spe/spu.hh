@@ -15,7 +15,6 @@
 
 #include <cstdint>
 
-#include "sim/clock.hh"
 #include "sim/sim_object.hh"
 #include "sim/task.hh"
 #include "spe/local_store.hh"
@@ -42,8 +41,8 @@ struct SpuParams
 class Spu : public sim::SimObject
 {
   public:
-    Spu(std::string name, sim::EventQueue &eq, const sim::ClockSpec &clock,
-        const SpuParams &params, LocalStore &ls);
+    Spu(std::string name, sim::EventQueue &eq, const SpuParams &params,
+        LocalStore &ls);
 
     /** Burn @p n SPU cycles (compute). */
     sim::Delay cycles(Tick n) { return sim::Delay{eventQueue(), n}; }
@@ -61,15 +60,6 @@ class Spu : public sim::SimObject
                          unsigned elemSize);
     /** @} */
 
-    /**
-     * SPE timebase register value (the paper measures SPE-side time
-     * with the time-base decrementer [2]).
-     */
-    std::uint64_t timebase() const
-    {
-        return clock_.decrementerTicks(curTick());
-    }
-
     /** Cycles this SPU spent executing streaming kernels. */
     Tick busyTicks() const { return busyTicks_; }
 
@@ -81,7 +71,6 @@ class Spu : public sim::SimObject
     sim::Task streamKernel(LsAddr src, LsAddr dst, std::uint32_t bytes,
                            unsigned elemSize, bool doLoad, bool doStore);
 
-    sim::ClockSpec clock_;
     SpuParams params_;
     LocalStore &ls_;
     Tick busyTicks_ = 0;

@@ -23,26 +23,65 @@ Histogram::addBucket(std::uint64_t bucket, std::uint64_t count)
 {
     if (count == 0)
         return;
+    std::lock_guard<std::mutex> lock(mutex_);
     std::size_t i = bucket < buckets_.size()
                         ? static_cast<std::size_t>(bucket)
                         : buckets_.size() - 1;
-    buckets_[i].fetch_add(count, std::memory_order_relaxed);
-    count_.fetch_add(count, std::memory_order_relaxed);
-    sum_.fetch_add(bucket * count, std::memory_order_relaxed);
+    buckets_[i] += count;
+    count_ += count;
+    sum_ += bucket * count;
+}
+
+void
+Histogram::grow(unsigned upperBound)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (upperBound + std::size_t{1} > buckets_.size())
+        buckets_.resize(upperBound + std::size_t{1}, 0);
+}
+
+std::uint64_t
+Histogram::count() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return count_;
+}
+
+std::uint64_t
+Histogram::sum() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sum_;
 }
 
 double
 Histogram::mean() const
 {
-    auto n = count();
-    return n ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                  : 0.0;
+}
+
+unsigned
+Histogram::upperBound() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return static_cast<unsigned>(buckets_.size() - 1);
+}
+
+std::uint64_t
+Histogram::bucket(unsigned i) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return buckets_[i];
 }
 
 unsigned
 Histogram::maxBucket() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = buckets_.size(); i-- > 0;)
-        if (buckets_[i].load(std::memory_order_relaxed))
+        if (buckets_[i])
             return static_cast<unsigned>(i);
     return 0;
 }
@@ -109,6 +148,8 @@ MetricsRegistry::histogram(const std::string &name, unsigned upperBound)
         sim::fatal("metric '%s' already registered as a %s, not a "
                    "histogram", name.c_str(),
                    toString(it->second.kind));
+    } else {
+        it->second.histogram->grow(upperBound);
     }
     return *it->second.histogram;
 }

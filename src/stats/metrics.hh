@@ -17,7 +17,7 @@
  *               registry; addition is commutative, so the totals are
  *               deterministic regardless of thread interleaving.
  *  - Gauge:     a last-write-wins double (a rate, a fraction).
- *  - Histogram: fixed integer buckets 0..upperBound (the last bucket
+ *  - Histogram: integer buckets 0..upperBound (the last bucket
  *               absorbs larger samples) plus exact count/sum —
  *               integer arithmetic only, so merged histograms are also
  *               order-independent.
@@ -25,7 +25,9 @@
  * Registration is idempotent: asking for an existing name of the same
  * kind returns the same metric (that is how N runs accumulate);
  * re-registering a name as a *different* kind is a programming error
- * and fatal()s.
+ * and fatal()s.  A histogram keeps the largest bound any registration
+ * asks for, so runs of different configs (a sweep over the MFC queue
+ * depth) each keep their own buckets whichever registers first.
  */
 
 #ifndef CELLBW_STATS_METRICS_HH
@@ -75,8 +77,9 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Fixed-bucket integer histogram: one bucket per value 0..upperBound,
- *  the last bucket also absorbing anything larger. */
+/** Integer histogram: one bucket per value 0..upperBound, the last
+ *  bucket also absorbing anything larger.  Thread-safe: the bound can
+ *  grow while other threads add. */
 class Histogram
 {
   public:
@@ -87,36 +90,26 @@ class Histogram
     /** Merge a pre-binned bucket: @p count samples of value @p bucket. */
     void addBucket(std::uint64_t bucket, std::uint64_t count);
 
-    std::uint64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
+    /** Raise the bound to @p upperBound; a lower one is a no-op. */
+    void grow(unsigned upperBound);
 
-    std::uint64_t sum() const
-    {
-        return sum_.load(std::memory_order_relaxed);
-    }
-
+    std::uint64_t count() const;
+    std::uint64_t sum() const;
     double mean() const;
 
     /** Largest sample value distinguishable (last bucket's floor). */
-    unsigned upperBound() const
-    {
-        return static_cast<unsigned>(buckets_.size() - 1);
-    }
+    unsigned upperBound() const;
 
-    std::uint64_t bucket(unsigned i) const
-    {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
+    std::uint64_t bucket(unsigned i) const;
 
     /** Highest non-empty bucket index (0 when empty). */
     unsigned maxBucket() const;
 
   private:
-    std::vector<std::atomic<std::uint64_t>> buckets_;
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
+    mutable std::mutex mutex_;
+    std::vector<std::uint64_t> buckets_;
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 class MetricsRegistry

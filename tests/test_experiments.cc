@@ -166,13 +166,15 @@ INSTANTIATE_TEST_SUITE_P(Fig10, SyncDelaySweep,
 TEST(ExpSpeSpe, FourCouplesLoseToConflictsAndVaryWithPlacement)
 {
     core::RepeatSpec spec{8, 100};
-    auto d = core::repeatRuns(cfg(), spec, [](cell::CellSystem &sys) {
+    core::Sweep sweep(spec);
+    sweep.add(cfg(), [](cell::CellSystem &sys) {
         core::SpeSpeConfig sc;
         sc.numSpes = 8;
         sc.elemBytes = 4096;
         sc.bytesPerStream = 1 * util::MiB;
         return core::runSpeSpe(sys, sc);
     });
+    const auto &d = sweep.result(0);
     EXPECT_LT(d.mean(), 0.85 * 134.4);      // loses to conflicts
     EXPECT_GT(d.mean(), 0.4 * 134.4);       // but not catastrophically
     EXPECT_GT(d.max() - d.min(), 10.0);     // placement spread
@@ -350,12 +352,6 @@ TEST(ExpRand, SamplesAreBitIdenticalAcrossJobs)
         gc.bytesPerSpe = 256 * util::KiB;
         return core::runRandGups(sys, gc);
     };
-    core::RepeatSpec spec{4, 42};
-    core::WorkerPool pool(4);
-    auto serial = core::repeatRuns(cfg(), spec, body);
-    auto threaded = core::repeatRuns(cfg(), spec, body, &pool);
-    EXPECT_EQ(serial.samples(), threaded.samples());
-
     auto chase = [](cell::CellSystem &sys) {
         core::RandChaseConfig rc;
         rc.numSpes = 2;
@@ -363,7 +359,14 @@ TEST(ExpRand, SamplesAreBitIdenticalAcrossJobs)
         rc.bytesPerSpe = 256 * util::KiB;
         return core::runRandChase(sys, rc);
     };
-    auto cs = core::repeatRuns(cfg(), spec, chase);
-    auto ct = core::repeatRuns(cfg(), spec, chase, &pool);
-    EXPECT_EQ(cs.samples(), ct.samples());
+    core::RepeatSpec spec{4, 42};
+    core::WorkerPool pool(4);
+    core::Sweep serial(spec);
+    core::Sweep threaded(spec, &pool);
+    for (core::Sweep *sweep : {&serial, &threaded}) {
+        sweep->add(cfg(), body);
+        sweep->add(cfg(), chase);
+    }
+    EXPECT_EQ(serial.result(0).samples(), threaded.result(0).samples());
+    EXPECT_EQ(serial.result(1).samples(), threaded.result(1).samples());
 }

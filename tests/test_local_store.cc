@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "spe/local_store.hh"
@@ -52,6 +53,58 @@ TEST_F(LsFixture, FillWorks)
     EXPECT_EQ(ls->byteAt(0), 0x5A);
     EXPECT_EQ(ls->byteAt(127), 0x5A);
     EXPECT_EQ(ls->byteAt(128), 0x00);
+}
+
+TEST_F(LsFixture, ZeroWriteToUnwrittenPagesIsDropped)
+{
+    auto ls = make();
+    std::vector<std::uint8_t> zeros(3 * spe::LocalStore::kPageBytes, 0);
+    ls->write(100, zeros.data(), static_cast<std::uint32_t>(zeros.size()));
+    EXPECT_EQ(ls->writtenPages(), 0u);
+    std::vector<std::uint8_t> out(zeros.size(), 0xFF);
+    ls->read(100, out.data(), static_cast<std::uint32_t>(out.size()));
+    EXPECT_EQ(out, zeros);
+}
+
+TEST_F(LsFixture, ZeroWriteOverDataClearsIt)
+{
+    auto ls = make();
+    std::vector<std::uint8_t> ones(512, 0x11), zeros(512, 0);
+    ls->write(0x2000, ones.data(), 512);
+    EXPECT_EQ(ls->writtenPages(), 1u);
+    ls->write(0x2000, zeros.data(), 512);
+    std::vector<std::uint8_t> out(512, 0xFF);
+    ls->read(0x2000, out.data(), 512);
+    EXPECT_EQ(out, zeros);
+}
+
+TEST_F(LsFixture, ZeroWriteSpanningAWrittenPageIsApplied)
+{
+    // Page 0 holds data; a zero write over its tail and the head of
+    // unwritten page 1 must clear that tail.
+    const std::uint32_t page = spe::LocalStore::kPageBytes;
+    auto ls = make();
+    ls->fill(0, 0x77, page);
+    std::vector<std::uint8_t> zeros(256, 0);
+    ls->write(page - 128, zeros.data(), 256);
+    EXPECT_EQ(ls->byteAt(page - 129), 0x77);
+    EXPECT_EQ(ls->byteAt(page - 128), 0u);
+    EXPECT_EQ(ls->byteAt(page + 127), 0u);
+    EXPECT_EQ(ls->writtenPages(), 2u);
+}
+
+TEST_F(LsFixture, FillMarksItsPagesWritten)
+{
+    const std::uint32_t page = spe::LocalStore::kPageBytes;
+    auto ls = make();
+    ls->fill(page - 1, 0, 2);     // straddles pages 0 and 1, even at zero
+    EXPECT_EQ(ls->writtenPages(), 2u);
+    ls->fill(5 * page, 0x42, 1);
+    EXPECT_EQ(ls->writtenPages(), 3u);
+    // A zero write over a filled page is applied.
+    std::uint8_t z = 0;
+    ls->write(5 * page, &z, 1);
+    EXPECT_EQ(ls->byteAt(5 * page), 0u);
 }
 
 TEST_F(LsFixture, OutOfBoundsAccessIsFatal)

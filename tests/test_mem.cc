@@ -63,6 +63,45 @@ TEST(BackingStore, FillAndClear)
     EXPECT_EQ(bs.byteAt(100), 0x00);
 }
 
+TEST(BackingStore, ZeroWriteToAnAbsentPageAllocatesNothing)
+{
+    mem::BackingStore bs(4096);
+    std::vector<std::uint8_t> zeros(10000, 0);
+    bs.write(4000, zeros.data(), zeros.size());
+    EXPECT_EQ(bs.touchedPages(), 0u);
+    std::vector<std::uint8_t> out(zeros.size(), 0xFF);
+    bs.read(4000, out.data(), out.size());
+    EXPECT_EQ(out, zeros);
+}
+
+TEST(BackingStore, ZeroWriteOverDataStillClearsIt)
+{
+    mem::BackingStore bs(4096);
+    std::vector<std::uint8_t> ones(256, 0x11), zeros(256, 0);
+    bs.write(8000, ones.data(), ones.size());
+    const std::size_t pages = bs.touchedPages();
+    EXPECT_GE(pages, 1u);
+    bs.write(8000, zeros.data(), zeros.size());
+    std::vector<std::uint8_t> out(256, 0xFF);
+    bs.read(8000, out.data(), out.size());
+    EXPECT_EQ(out, zeros);
+    EXPECT_EQ(bs.touchedPages(), pages);
+}
+
+TEST(BackingStore, ZeroElisionIsPerPage)
+{
+    // [4000, 4200) spans pages 0 and 1: data lands on page 0 only, and
+    // the zero tail on absent page 1 allocates nothing.
+    mem::BackingStore bs(4096);
+    std::vector<std::uint8_t> in(200, 0);
+    in[0] = 7;
+    bs.write(4000, in.data(), in.size());
+    EXPECT_EQ(bs.touchedPages(), 1u);
+    std::vector<std::uint8_t> out(200, 0xFF);
+    bs.read(4000, out.data(), out.size());
+    EXPECT_EQ(out, in);
+}
+
 TEST(BackingStore, NonPow2PageSizeIsFatal)
 {
     EXPECT_THROW(mem::BackingStore(1000), sim::FatalError);

@@ -131,6 +131,27 @@ TEST(Metrics, HistogramBucketsAndOverflow)
     EXPECT_EQ(h.count(), 9u);
 }
 
+TEST(Metrics, HistogramKeepsTheLargestRegisteredBound)
+{
+    // Runs of different configs register one name with different
+    // bounds; every sample must keep its own bucket whichever
+    // registration comes first.
+    stats::MetricsRegistry shallowFirst, deepFirst;
+    shallowFirst.histogram("q", 4).add(3);
+    shallowFirst.histogram("q", 16).add(12);
+    deepFirst.histogram("q", 16).add(12);
+    deepFirst.histogram("q", 4).add(3);
+    for (auto *reg : {&shallowFirst, &deepFirst}) {
+        const auto *h = reg->findHistogram("q");
+        ASSERT_NE(h, nullptr);
+        EXPECT_EQ(h->upperBound(), 16u);
+        EXPECT_EQ(h->bucket(3), 1u);
+        EXPECT_EQ(h->bucket(12), 1u);
+        EXPECT_EQ(h->maxBucket(), 12u);
+    }
+    EXPECT_EQ(shallowFirst.render(), deepFirst.render());
+}
+
 TEST(Metrics, WriteJsonIsSortedAndTyped)
 {
     stats::MetricsRegistry reg;
@@ -158,7 +179,8 @@ TEST(Metrics, ConcurrentAddsAndRegistrationsAreExact)
         pool.emplace_back([&reg] {
             for (unsigned i = 0; i < iters; ++i) {
                 reg.counter("shared.count").increment();
-                reg.histogram("shared.depth", 16).add(i % 20);
+                // Registrations with growing bounds race the adds.
+                reg.histogram("shared.depth", 16 + i % 8).add(i % 20);
                 reg.counter("bytes").add(128);
             }
         });

@@ -15,9 +15,11 @@ TEST(Runner, RunsExactlyNTimes)
     int calls = 0;
     core::RepeatSpec spec{5, 7};
     // The body mutates `calls`, so run inline (no pool).
-    auto d = core::repeatRuns(cfg, spec, [&](cell::CellSystem &) {
+    core::Sweep sweep(spec);
+    sweep.add(cfg, [&](cell::CellSystem &) {
         return static_cast<double>(++calls);
     });
+    const auto &d = sweep.result(0);
     EXPECT_EQ(calls, 5);
     EXPECT_EQ(d.count(), 5u);
     EXPECT_DOUBLE_EQ(d.min(), 1.0);
@@ -30,7 +32,8 @@ TEST(Runner, SeedsProducePlacementVariety)
     core::RepeatSpec spec{6, 11};
     std::vector<std::vector<std::uint32_t>> placements;
     // The body appends to `placements`, so run inline (no pool).
-    core::repeatRuns(cfg, spec, [&](cell::CellSystem &sys) {
+    core::Sweep sweep(spec);
+    sweep.add(cfg, [&](cell::CellSystem &sys) {
         placements.push_back(sys.placement());
         return 0.0;
     });
@@ -51,9 +54,10 @@ TEST(Runner, SameSeedIsDeterministic)
         sc.bytesPerStream = 256 * util::KiB;
         return core::runSpeSpe(sys, sc);
     };
-    auto a = core::repeatRuns(cfg, spec, body);
-    auto b = core::repeatRuns(cfg, spec, body);
-    EXPECT_EQ(a.samples(), b.samples());
+    core::Sweep sweep(spec);
+    sweep.add(cfg, body);
+    sweep.add(cfg, body);
+    EXPECT_EQ(sweep.result(0).samples(), sweep.result(1).samples());
 }
 
 TEST(Report, ElemSweepMatchesThePaper)

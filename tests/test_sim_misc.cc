@@ -104,14 +104,6 @@ TEST(Clock, BandwidthGBps)
     EXPECT_DOUBLE_EQ(c.bandwidthGBps(100, 0), 0.0);
 }
 
-TEST(Clock, DecrementerTicks)
-{
-    sim::ClockSpec c;
-    // One second of CPU time = timebaseHz decrementer ticks.
-    auto ticks = c.decrementerTicks(c.fromSeconds(1.0));
-    EXPECT_NEAR(static_cast<double>(ticks), c.timebaseHz, 1.0);
-}
-
 TEST(Logging, FatalThrowsFatalError)
 {
     EXPECT_THROW(sim::fatal("bad thing %d", 42), sim::FatalError);

@@ -94,16 +94,6 @@ TEST_F(SpuFixture, BadElementSizeIsFatal)
     EXPECT_THROW(t.rethrow(), sim::FatalError);
 }
 
-TEST_F(SpuFixture, TimebaseAdvancesWithSimTime)
-{
-    auto s = make();
-    EXPECT_EQ(s->spu().timebase(), 0u);
-    eq.schedule(clock.fromSeconds(0.001), [] {});
-    eq.run();
-    auto tb = s->spu().timebase();
-    EXPECT_NEAR(static_cast<double>(tb), clock.timebaseHz * 0.001, 2.0);
-}
-
 TEST_F(SpuFixture, LsAllocatorAlignsAndExhausts)
 {
     auto s = make();
